@@ -18,7 +18,7 @@
 //! (see DESIGN.md for the substitution notes versus the exact procedure
 //! of \[11\]).
 
-use crate::linial::next_prime;
+use crate::linial::{eval_poly, next_prime};
 use distgraph::{Graph, NodeId, VertexColoring};
 use distsim::{LedgerEntry, Network};
 
@@ -59,20 +59,6 @@ fn choose_defective_parameters(palette: u64, max_degree: usize, d_step: usize) -
     (64, next_prime(64 * delta.max(2)))
 }
 
-fn eval_poly(color: u64, t: u32, q: u64, a: u64) -> u64 {
-    let mut digits = Vec::with_capacity(t as usize + 1);
-    let mut rest = color;
-    for _ in 0..=t {
-        digits.push(rest % q);
-        rest /= q;
-    }
-    let mut acc = 0u64;
-    for &d in digits.iter().rev() {
-        acc = (acc * a + d) % q;
-    }
-    acc
-}
-
 /// One defective reduction step (one communication round): shrinks the
 /// palette to `q²` while adding at most `t·Δ/q ≤ d_step` to every node's
 /// defect.
@@ -93,16 +79,16 @@ pub fn defective_step(
     let mut next = vec![0u64; graph.n()];
     for v in graph.nodes() {
         let my_color = colors[v.index()];
-        let neighbor_colors: Vec<u64> = mail.inbox(v).iter().map(|m| m.msg).collect();
+        let inbox = mail.inbox(v);
         // Pick the evaluation point minimizing collisions with neighbors of a
         // *different* color (same-colored neighbors collide everywhere and are
         // already accounted in the incoming defect).
         let mut best = (usize::MAX, 0u64, 0u64);
         for a in 0..q {
             let mine = eval_poly(my_color, t, q, a);
-            let collisions = neighbor_colors
+            let collisions = inbox
                 .iter()
-                .filter(|&&c| c != my_color && eval_poly(c, t, q, a) == mine)
+                .filter(|m| m.msg != my_color && eval_poly(m.msg, t, q, a) == mine)
                 .count();
             if collisions < best.0 {
                 best = (collisions, a, mine);

@@ -83,17 +83,15 @@ fn choose_parameters(m: u64, max_degree: usize) -> (u32, u64) {
 
 /// Evaluates the polynomial whose coefficients are the base-`q` digits of
 /// `color` (degree ≤ `t`) at the point `a`, modulo `q`.
-fn eval_poly(color: u64, t: u32, q: u64, a: u64) -> u64 {
-    let mut digits = Vec::with_capacity(t as usize + 1);
-    let mut rest = color;
+///
+/// Sums `d_i · a^i` from the lowest digit up with a running power of `a`,
+/// which equals Horner's rule mod `q` without buffering the digits.
+pub(crate) fn eval_poly(color: u64, t: u32, q: u64, a: u64) -> u64 {
+    let (mut rest, mut power, mut acc) = (color, 1u64, 0u64);
     for _ in 0..=t {
-        digits.push(rest % q);
+        acc = (acc + rest % q * power) % q;
+        power = power * a % q;
         rest /= q;
-    }
-    // Horner evaluation from the highest digit.
-    let mut acc = 0u64;
-    for &d in digits.iter().rev() {
-        acc = (acc * a + d) % q;
     }
     acc
 }
@@ -118,14 +116,14 @@ pub fn reduction_step(
     let mut next = vec![0u64; graph.n()];
     for v in graph.nodes() {
         let my_color = colors[v.index()];
-        let neighbor_colors: Vec<u64> = mail.inbox(v).iter().map(|m| m.msg).collect();
+        let inbox = mail.inbox(v);
         // Find an evaluation point where v differs from every neighbor.
         let mut chosen = None;
         for a in 0..q {
             let mine = eval_poly(my_color, t, q, a);
-            let clash = neighbor_colors
+            let clash = inbox
                 .iter()
-                .any(|&c| c != my_color && eval_poly(c, t, q, a) == mine);
+                .any(|m| m.msg != my_color && eval_poly(m.msg, t, q, a) == mine);
             if !clash {
                 chosen = Some((a, mine));
                 break;
@@ -253,6 +251,21 @@ mod tests {
         assert_eq!(eval_poly(5, 1, 3, 0), 2);
         assert_eq!(eval_poly(5, 1, 3, 1), 0);
         assert_eq!(eval_poly(5, 1, 3, 2), 1);
+    }
+
+    #[test]
+    fn eval_poly_matches_horner_over_the_digits() {
+        let horner = |color: u64, t: u32, q: u64, a: u64| {
+            let digits: Vec<u64> = (0..=t).map(|i| color / q.pow(i) % q).collect();
+            digits.iter().rev().fold(0, |acc, &d| (acc * a + d) % q)
+        };
+        for (t, q) in [(1u32, 2u64), (1, 7), (2, 11), (3, 5), (4, 13)] {
+            for color in (0..q.pow(t + 1)).step_by(3) {
+                for a in 0..q {
+                    assert_eq!(eval_poly(color, t, q, a), horner(color, t, q, a));
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,23 @@
 //! adjacent edges, so the produced coloring is proper and list-compliant by
 //! construction; the slack bookkeeping determines the round complexity and is
 //! reported in the outcome for the experiments.
+//!
+//! # The used-color invariant
+//!
+//! The driver keeps one used-color bitset per node of the host graph next to
+//! the partial coloring: bit `c` of node `v`'s row is set exactly when a
+//! colored edge incident to `v` has color `c` (one 64-bit word per node when
+//! every listed color is below 64, more words otherwise). Every assignment
+//! — the slack-solve finish, the amplify fallback and the final greedy —
+//! updates both endpoints' rows together with the coloring. The available
+//! list of an uncolored edge `e = (u, v)` is therefore `L_e` minus
+//! `used[u] | used[v]`: the same colors, in the same order, as `L_e` minus
+//! [`EdgeColoring::colors_around`], without building a set or an adjacency
+//! list per query. Used sets only ever grow during a run, so a slack-`S`
+//! instance reads its edges' available lists through the masks instead of
+//! snapshotting them.
 
-use crate::defective_edge::{defective_two_edge_coloring, lambda_from_lists};
+use crate::defective_edge::defective_two_edge_coloring;
 use crate::defective_vertex::defective_four_coloring;
 use crate::error::ColoringError;
 use crate::greedy_finish::port_pair_edge_coloring;
@@ -32,6 +47,7 @@ use distgraph::{
     BipartiteGraph, Color, EdgeColoring, EdgeId, Graph, ListAssignment, Side, VertexColoring,
 };
 use distsim::{IdAssignment, LedgerEntry, Metrics, Model, Network, RoundLedger};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Statistics and output of a (degree+1)-list edge coloring run.
 #[derive(Debug, Clone)]
@@ -65,42 +81,89 @@ pub const SLACK_S: f64 = std::f64::consts::E * std::f64::consts::E;
 /// 4 classes).
 pub const AMPLIFY_K: usize = 32;
 
-/// Computes the colors currently unavailable to edge `e`: the colors of its
-/// already-colored adjacent edges in `graph`.
-fn used_colors(
-    graph: &Graph,
-    coloring: &EdgeColoring,
-    e: EdgeId,
-) -> std::collections::HashSet<Color> {
-    coloring.colors_around(graph, e)
+/// The partial coloring under construction, paired with one used-color
+/// bitset per node of the host graph (the used-color invariant of the
+/// module docs). Every assignment goes through [`PartialColoring::set`], so
+/// the masks never drift from the coloring.
+struct PartialColoring<'a> {
+    graph: &'a Graph,
+    lists: &'a ListAssignment,
+    coloring: EdgeColoring,
+    /// 64-bit words per node row: enough for the largest listed color.
+    words: usize,
+    /// Row-major per-node bitsets: bit `c` of node `v`'s row is set iff a
+    /// colored edge incident to `v` has color `c`.
+    used: Vec<u64>,
 }
 
-/// The available list of `e`: its original list minus the used colors.
-fn avail_list(
-    graph: &Graph,
-    lists: &ListAssignment,
-    coloring: &EdgeColoring,
-    e: EdgeId,
-) -> Vec<Color> {
-    let used = used_colors(graph, coloring, e);
-    lists
-        .list(e)
+impl<'a> PartialColoring<'a> {
+    /// An empty coloring of `graph` with all masks clear.
+    fn new(graph: &'a Graph, lists: &'a ListAssignment) -> Self {
+        let width = graph
+            .edges()
+            .filter_map(|e| lists.list(e).last())
+            .max()
+            .map_or(1, |&c| c + 1);
+        let words = width.div_ceil(64);
+        PartialColoring {
+            graph,
+            lists,
+            coloring: EdgeColoring::empty(graph.m()),
+            words,
+            used: vec![0; graph.n() * words],
+        }
+    }
+
+    fn is_colored(&self, e: EdgeId) -> bool {
+        self.coloring.is_colored(e)
+    }
+
+    /// Colors `e` with `c` and marks `c` used at both endpoints.
+    fn set(&mut self, e: EdgeId, c: Color) {
+        self.coloring.set(e, c);
+        let (u, v) = self.graph.endpoints(e);
+        let (word, bit) = (c / 64, 1u64 << (c % 64));
+        self.used[u.index() * self.words + word] |= bit;
+        self.used[v.index() * self.words + word] |= bit;
+    }
+
+    /// The available list of the uncolored edge `e = (u, v)`: the colors of
+    /// `L_e`, in list order, that are in neither `used[u]` nor `used[v]`.
+    fn available(&self, e: EdgeId) -> impl Iterator<Item = Color> + '_ {
+        let (u, v) = self.graph.endpoints(e);
+        let row_u = &self.used[u.index() * self.words..][..self.words];
+        let row_v = &self.used[v.index() * self.words..][..self.words];
+        self.lists
+            .list(e)
+            .iter()
+            .copied()
+            .filter(move |&c| ((row_u[c / 64] | row_v[c / 64]) >> (c % 64)) & 1 == 0)
+    }
+}
+
+/// The number of edges adjacent to `e` in `graph` that satisfy `keep`,
+/// counted over both endpoints' adjacency slices.
+fn adjacent_count(graph: &Graph, e: EdgeId, keep: impl Fn(EdgeId) -> bool) -> usize {
+    let (u, v) = graph.endpoints(e);
+    graph
+        .neighbors(u)
         .iter()
-        .copied()
-        .filter(|c| !used.contains(c))
-        .collect()
+        .chain(graph.neighbors(v))
+        .filter(|nb| nb.edge != e && keep(nb.edge))
+        .count()
 }
 
 /// Solves a slack-`S` list edge coloring instance `P(Δ̄, S, C)` on a 2-colored
-/// bipartite graph (Lemma D.2): every edge of `bg` gets a color from its list
-/// in `lists`, written into `coloring` (which refers to the *host* graph via
+/// bipartite graph (Lemma D.2): every edge of `bg` gets a color from its
+/// available list, written into `state` (which refers to the *host* graph via
 /// `edge_map`). Adjacency conflicts are checked against the host graph so the
 /// global coloring stays proper.
-#[allow(clippy::too_many_arguments)]
+///
+/// The instance's lists are its edges' available lists; they are read
+/// through the host masks rather than snapshotted, which is the same thing
+/// because used sets only grow (`L_e ∖ U₀ ∖ U = L_e ∖ U` for `U₀ ⊆ U`).
 fn solve_slack_instance(
-    host: &Graph,
-    host_lists: &ListAssignment,
-    coloring: &mut EdgeColoring,
+    state: &mut PartialColoring<'_>,
     bg: &BipartiteGraph,
     edge_map: &[EdgeId],
     params: &ColoringParams,
@@ -112,7 +175,7 @@ fn solve_slack_instance(
     if m == 0 {
         return 0;
     }
-    let space = host_lists.space_size().max(2);
+    let space = state.lists.space_size().max(2);
     let levels = (space as f64).log2().floor() as u32;
     let eps_level = (1.0 / (space as f64).log2().max(1.0)).clamp(1e-3, 1.0);
     let passive_threshold = params.split_cutoff(piece.max_edge_degree().max(1), eps_level);
@@ -128,24 +191,18 @@ fn solve_slack_instance(
         // Degree of each edge among still-active, same-interval edges.
         let active_edges: Vec<EdgeId> = piece
             .edges()
-            .filter(|&e| {
-                passive_at[e.index()].is_none() && !coloring.is_colored(edge_map[e.index()])
-            })
+            .filter(|&e| passive_at[e.index()].is_none() && !state.is_colored(edge_map[e.index()]))
             .collect();
         if active_edges.is_empty() {
             break;
         }
         let mut active_degree = vec![0usize; m];
         for &e in &active_edges {
-            active_degree[e.index()] = piece
-                .adjacent_edges(e)
-                .into_iter()
-                .filter(|f| {
-                    passive_at[f.index()].is_none()
-                        && interval[f.index()] == interval[e.index()]
-                        && !coloring.is_colored(edge_map[f.index()])
-                })
-                .count();
+            active_degree[e.index()] = adjacent_count(piece, e, |f| {
+                passive_at[f.index()].is_none()
+                    && interval[f.index()] == interval[e.index()]
+                    && !state.is_colored(edge_map[f.index()])
+            });
         }
         // Edges whose active degree fell below the threshold become passive.
         for &e in &active_edges {
@@ -154,8 +211,7 @@ fn solve_slack_instance(
             }
         }
         // Group the remaining active edges by interval and split each group.
-        let mut groups: std::collections::HashMap<(Color, Color), Vec<EdgeId>> =
-            std::collections::HashMap::new();
+        let mut groups: BTreeMap<(Color, Color), Vec<EdgeId>> = BTreeMap::new();
         for &e in &active_edges {
             if passive_at[e.index()].is_none() {
                 groups.entry(interval[e.index()]).or_default().push(e);
@@ -178,21 +234,25 @@ fn solve_slack_instance(
             if sub.graph().m() == 0 {
                 continue;
             }
-            // λ_e: fraction of the edge's *available* list in the lower half.
-            let sub_lists = ListAssignment::new(
-                space,
-                sub.graph()
-                    .edges()
-                    .map(|e| {
-                        let piece_edge = sub_map[e.index()];
-                        avail_list(host, host_lists, coloring, edge_map[piece_edge.index()])
-                            .into_iter()
-                            .filter(|c| *c >= lo && *c < hi)
-                            .collect()
-                    })
-                    .collect(),
-            );
-            let lambda = lambda_from_lists(sub.graph(), &sub_lists, lo, mid, hi);
+            // λ_e: fraction of the edge's *available* list in [lo, hi) that
+            // falls in the lower half [lo, mid) (0.5 when none does).
+            let lambda: Vec<f64> = sub_map
+                .iter()
+                .map(|piece_edge| {
+                    let (mut red, mut total) = (0usize, 0usize);
+                    for c in state.available(edge_map[piece_edge.index()]) {
+                        if c >= lo && c < hi {
+                            total += 1;
+                            red += usize::from(c < mid);
+                        }
+                    }
+                    if total == 0 {
+                        0.5
+                    } else {
+                        red as f64 / total as f64
+                    }
+                })
+                .collect();
             let orientation_params = params.orientation(eps_level);
             let mut child_net = net.child(sub.graph());
             let split =
@@ -245,21 +305,20 @@ fn solve_slack_instance(
                 continue;
             }
             let host_edge = edge_map[e.index()];
-            if coloring.is_colored(host_edge) {
+            if state.is_colored(host_edge) {
                 continue;
             }
-            let avail = avail_list(host, host_lists, coloring, host_edge);
-            if avail.is_empty() {
-                continue; // left for the outer fallback; cannot happen when the slack invariant holds
-            }
             let (lo, hi) = interval[e.index()];
-            let chosen = avail
-                .iter()
-                .copied()
+            let chosen = state
+                .available(host_edge)
                 .find(|c| *c >= lo && *c < hi)
-                .unwrap_or(avail[0]);
-            coloring.set(host_edge, chosen);
-            any = true;
+                .or_else(|| state.available(host_edge).next());
+            // An empty list is left for the outer fallback; it cannot happen
+            // when the slack invariant holds.
+            if let Some(chosen) = chosen {
+                state.set(host_edge, chosen);
+                any = true;
+            }
         }
         if any {
             net.charge_rounds(1);
@@ -296,11 +355,8 @@ struct AmplifyOutcome {
 /// groups by at most as much as they shrink the degrees, preserving slack).
 /// A greedy pass enforces the degree-reduction contract if some edges did not
 /// qualify (this is recorded as `fallback_rounds`).
-#[allow(clippy::too_many_arguments)] // internal pipeline stage; the args are the pipeline state
 fn amplify_slack(
-    host: &Graph,
-    host_lists: &ListAssignment,
-    coloring: &mut EdgeColoring,
+    state: &mut PartialColoring<'_>,
     bg: &BipartiteGraph,
     edge_map: &[EdgeId],
     params: &ColoringParams,
@@ -318,14 +374,6 @@ fn amplify_slack(
     }
     let target_degree = (piece.max_edge_degree() / AMPLIFY_K).max(2);
 
-    let uncolored_degree = |coloring: &EdgeColoring, e: EdgeId| -> usize {
-        piece
-            .adjacent_edges(e)
-            .into_iter()
-            .filter(|f| !coloring.is_colored(edge_map[f.index()]))
-            .count()
-    };
-
     // Number of edge-splitting levels: enough that an edge's in-group degree
     // drops below |L_e| / S ≈ deg(e) / S. Three levels (8 groups) suffice:
     // an edge with in-group degree ≈ deg(e)/8 qualifies as slack-S since
@@ -340,10 +388,18 @@ fn amplify_slack(
     // O(log Δ̄) productive phases rather than Θ(Δ̄) of them.
     let split_eps = (2.0 * params.eps).clamp(1e-3, 1.0);
 
+    // An uncolored edge qualifies as slack-S in its group when its available
+    // list is S times larger than its uncolored in-group degree.
+    let qualifies = |state: &PartialColoring<'_>, group: &[usize], e: EdgeId| -> bool {
+        let in_group_degree = adjacent_count(piece, e, |f| {
+            group[f.index()] == group[e.index()] && !state.is_colored(edge_map[f.index()])
+        });
+        state.available(edge_map[e.index()]).count() as f64 > SLACK_S * in_group_degree as f64
+    };
+
     // Level-by-level defective splitting of the still-uncolored piece edges.
     // Splitting stops early once every uncolored edge already qualifies as
-    // slack-S in its current group (its available list is S times larger
-    // than its in-group degree): further levels would charge orientation
+    // slack-S in its current group: further levels would charge orientation
     // rounds without changing which edges the solver accepts. With full
     // `2Δ−1` palettes this typically takes 2 levels instead of the
     // worst-case 3.
@@ -352,30 +408,17 @@ fn amplify_slack(
         let level_rounds_before = net.rounds();
         let uncolored_edges: Vec<EdgeId> = piece
             .edges()
-            .filter(|&e| !coloring.is_colored(edge_map[e.index()]))
+            .filter(|&e| !state.is_colored(edge_map[e.index()]))
             .collect();
-        let all_qualify = uncolored_edges.iter().all(|&e| {
-            let in_group_degree = piece
-                .adjacent_edges(e)
-                .into_iter()
-                .filter(|f| {
-                    group[f.index()] == group[e.index()]
-                        && !coloring.is_colored(edge_map[f.index()])
-                })
-                .count();
-            let avail = avail_list(host, host_lists, coloring, edge_map[e.index()]);
-            avail.len() as f64 > SLACK_S * in_group_degree as f64
-        });
-        if all_qualify {
+        if uncolored_edges.iter().all(|&e| qualifies(state, &group, e)) {
             break;
         }
-        let groups_present: std::collections::BTreeSet<usize> =
+        let groups_present: BTreeSet<usize> =
             uncolored_edges.iter().map(|e| group[e.index()]).collect();
         let mut level_metrics: Vec<Metrics> = Vec::new();
         for g in groups_present {
-            let (sub, sub_map) = bg.edge_subgraph(|e| {
-                group[e.index()] == g && !coloring.is_colored(edge_map[e.index()])
-            });
+            let (sub, sub_map) = bg
+                .edge_subgraph(|e| group[e.index()] == g && !state.is_colored(edge_map[e.index()]));
             if sub.graph().m() == 0 {
                 continue;
             }
@@ -403,28 +446,22 @@ fn amplify_slack(
         });
     }
 
-    // Process the groups sequentially; within each group, the edges whose
-    // available list is S times larger than their in-group uncolored degree
-    // form a slack-S instance for Lemma D.2.
-    let groups_present: std::collections::BTreeSet<usize> = piece
+    // Process the groups sequentially; within each group, the qualifying
+    // edges form a slack-S instance for Lemma D.2.
+    let groups_present: BTreeSet<usize> = piece
         .edges()
-        .filter(|&e| !coloring.is_colored(edge_map[e.index()]))
+        .filter(|&e| !state.is_colored(edge_map[e.index()]))
         .map(|e| group[e.index()])
         .collect();
     for g in groups_present {
-        let qualifies = |e: EdgeId, coloring: &EdgeColoring| -> bool {
-            if group[e.index()] != g || coloring.is_colored(edge_map[e.index()]) {
-                return false;
-            }
-            let avail = avail_list(host, host_lists, coloring, edge_map[e.index()]);
-            let in_group_degree = piece
-                .adjacent_edges(e)
-                .into_iter()
-                .filter(|f| group[f.index()] == g && !coloring.is_colored(edge_map[f.index()]))
-                .count();
-            avail.len() as f64 > SLACK_S * in_group_degree as f64
-        };
-        let selected: Vec<EdgeId> = piece.edges().filter(|&e| qualifies(e, coloring)).collect();
+        let selected: Vec<EdgeId> = piece
+            .edges()
+            .filter(|&e| {
+                group[e.index()] == g
+                    && !state.is_colored(edge_map[e.index()])
+                    && qualifies(state, &group, e)
+            })
+            .collect();
         if selected.is_empty() {
             continue;
         }
@@ -434,24 +471,8 @@ fn amplify_slack(
         }
         let (sub, sub_map) = bg.edge_subgraph(|e| flags[e.index()]);
         let sub_to_host: Vec<EdgeId> = sub_map.iter().map(|pe| edge_map[pe.index()]).collect();
-        let sub_lists = ListAssignment::new(
-            host_lists.space_size(),
-            sub.graph()
-                .edges()
-                .map(|e| avail_list(host, host_lists, coloring, sub_to_host[e.index()]))
-                .collect(),
-        );
         let mut child_net = net.child(sub.graph());
-        solve_slack_instance(
-            host,
-            &sub_lists_as_host_view(host, &sub_lists, &sub_to_host),
-            coloring,
-            &sub,
-            &sub_to_host,
-            params,
-            &mut child_net,
-            depth,
-        );
+        solve_slack_instance(state, &sub, &sub_to_host, params, &mut child_net, depth);
         solver_calls += 1;
         net.record_ledger(LedgerEntry {
             depth,
@@ -472,8 +493,9 @@ fn amplify_slack(
     let heavy: Vec<EdgeId> = piece
         .edges()
         .filter(|&e| {
-            !coloring.is_colored(edge_map[e.index()])
-                && uncolored_degree(coloring, e) > target_degree
+            !state.is_colored(edge_map[e.index()])
+                && adjacent_count(piece, e, |f| !state.is_colored(edge_map[f.index()]))
+                    > target_degree
         })
         .collect();
     if !heavy.is_empty() {
@@ -482,12 +504,13 @@ fn amplify_slack(
         for class in 0..schedule.palette_size() {
             let mut any = false;
             for &e in &heavy {
-                if schedule.color(e) != Some(class) || coloring.is_colored(edge_map[e.index()]) {
+                let host_edge = edge_map[e.index()];
+                if schedule.color(e) != Some(class) || state.is_colored(host_edge) {
                     continue;
                 }
-                let avail = avail_list(host, host_lists, coloring, edge_map[e.index()]);
-                if let Some(&c) = avail.first() {
-                    coloring.set(edge_map[e.index()], c);
+                let first = state.available(host_edge).next();
+                if let Some(c) = first {
+                    state.set(host_edge, c);
                     any = true;
                 }
             }
@@ -511,20 +534,6 @@ fn amplify_slack(
         solver_calls,
         fallback_rounds,
     }
-}
-
-/// Builds a host-indexed view of piece-local lists so that
-/// [`solve_slack_instance`] can read `lists.list(host_edge)` uniformly.
-fn sub_lists_as_host_view(
-    host: &Graph,
-    sub_lists: &ListAssignment,
-    sub_to_host: &[EdgeId],
-) -> ListAssignment {
-    let mut lists = vec![Vec::new(); host.m()];
-    for (sub_idx, host_edge) in sub_to_host.iter().enumerate() {
-        lists[host_edge.index()] = sub_lists.list(EdgeId::new(sub_idx)).to_vec();
-    }
-    ListAssignment::new(sub_lists.space_size(), lists)
 }
 
 /// Computes a `(degree+1)`-list edge coloring of `graph` in the LOCAL model
@@ -561,14 +570,14 @@ pub fn list_edge_coloring(
     }
 
     let mut net = Network::with_policy(graph, Model::Local, params.policy);
-    let mut coloring = EdgeColoring::empty(graph.m());
+    let mut state = PartialColoring::new(graph, lists);
     let mut solver_calls = 0u64;
     let mut fallback_rounds = 0u64;
     let mut outer_iterations = 0u32;
 
     if graph.m() == 0 {
         return Ok(ListColoringOutcome {
-            coloring,
+            coloring: state.coloring,
             colors_used: 0,
             metrics: net.metrics(),
             outer_iterations,
@@ -595,7 +604,7 @@ pub fn list_edge_coloring(
 
     // Step 2: O(log Δ) degree-reduction iterations.
     for _ in 0..params.max_outer_iterations {
-        let (uncolored, edge_map) = graph.edge_subgraph(|e| !coloring.is_colored(e));
+        let (uncolored, edge_map) = graph.edge_subgraph(|e| !state.is_colored(e));
         if uncolored.m() == 0 || uncolored.max_edge_degree() <= finish_cutoff {
             break;
         }
@@ -639,7 +648,7 @@ pub fn list_edge_coloring(
             };
             {
                 let (piece, piece_map) = uncolored
-                    .edge_subgraph(|e| !coloring.is_colored(edge_map[e.index()]) && crosses(e));
+                    .edge_subgraph(|e| !state.is_colored(edge_map[e.index()]) && crosses(e));
                 if piece.m() == 0 {
                     continue;
                 }
@@ -660,16 +669,8 @@ pub fn list_edge_coloring(
                 // Map piece edges to host edges.
                 let to_host: Vec<EdgeId> =
                     piece_map.iter().map(|ue| edge_map[ue.index()]).collect();
-                let outcome = amplify_slack(
-                    graph,
-                    lists,
-                    &mut coloring,
-                    &bipartite,
-                    &to_host,
-                    params,
-                    &mut net,
-                    depth,
-                );
+                let outcome =
+                    amplify_slack(&mut state, &bipartite, &to_host, params, &mut net, depth);
                 solver_calls += outcome.solver_calls;
                 fallback_rounds += outcome.fallback_rounds;
             }
@@ -678,7 +679,7 @@ pub fn list_edge_coloring(
         // Record the iteration's degree-reduction contract: the residual
         // uncolored degree must shrink by a constant factor per level for the
         // outer loop to stay O(log Δ).
-        let (residual, _) = graph.edge_subgraph(|e| !coloring.is_colored(e));
+        let (residual, _) = graph.edge_subgraph(|e| !state.is_colored(e));
         let degree_after = residual.max_edge_degree();
         // Stall guard: the pipeline is deterministic, so an iteration that
         // colors no edge would recompute the identical defective coloring on
@@ -702,7 +703,7 @@ pub fn list_edge_coloring(
     }
 
     // Step 3: finish the low-degree remainder greedily from the lists.
-    let (rest, rest_map) = graph.edge_subgraph(|e| !coloring.is_colored(e));
+    let (rest, rest_map) = graph.edge_subgraph(|e| !state.is_colored(e));
     let finish_rounds_before = net.rounds();
     if rest.m() > 0 {
         let rest_ids = IdAssignment::from_vec(rest.nodes().map(|v| ids.id(v)).collect());
@@ -715,14 +716,14 @@ pub fn list_edge_coloring(
                     continue;
                 }
                 let host_edge = rest_map[e.index()];
-                if coloring.is_colored(host_edge) {
+                if state.is_colored(host_edge) {
                     continue;
                 }
-                let avail = avail_list(graph, lists, &coloring, host_edge);
-                let c = *avail
-                    .first()
+                let c = state
+                    .available(host_edge)
+                    .next()
                     .expect("the degree+1 invariant guarantees a free color");
-                coloring.set(host_edge, c);
+                state.set(host_edge, c);
                 any = true;
             }
             if any {
@@ -741,8 +742,8 @@ pub fn list_edge_coloring(
     }
 
     Ok(ListColoringOutcome {
-        colors_used: coloring.colors_used(),
-        coloring,
+        colors_used: state.coloring.colors_used(),
+        coloring: state.coloring,
         metrics: net.metrics(),
         outer_iterations,
         solver_calls,
@@ -925,5 +926,79 @@ mod tests {
         let outcome = color_edges_local(&g, &ids, &params).unwrap();
         let lists = ListAssignment::full_palette(&g, 2 * g.max_degree() - 1);
         check_outcome(&g, &lists, &outcome);
+    }
+    /// A random simple graph on `n` nodes (from raw node pairs), random lists
+    /// over `space` colors, and a random proper partial coloring drawn from
+    /// the lists with [`EdgeColoring::colors_around`] as the reference,
+    /// mirrored into a [`PartialColoring`] through its own `set`.
+    fn masks_against_reference(n: usize, pairs: &[(usize, usize)], space: usize, seed: u64) {
+        let mut edges: Vec<(usize, usize)> = pairs
+            .iter()
+            .filter(|&&(u, v)| u < n && v < n && u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let graph = Graph::from_edges(n, &edges).expect("simple graph");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let lists = ListAssignment::new(
+            space,
+            graph
+                .edges()
+                .map(|_| {
+                    let size = rng.gen_range(1..24usize);
+                    (0..size).map(|_| rng.gen_range(0..space)).collect()
+                })
+                .collect(),
+        );
+        let mut reference = EdgeColoring::empty(graph.m());
+        let mut state = PartialColoring::new(&graph, &lists);
+        for e in graph.edges() {
+            if !rng.gen_bool(0.6) {
+                continue;
+            }
+            let around = reference.colors_around(&graph, e);
+            let free: Vec<Color> = lists
+                .list(e)
+                .iter()
+                .copied()
+                .filter(|c| !around.contains(c))
+                .collect();
+            if !free.is_empty() {
+                let c = free[rng.gen_range(0..free.len())];
+                reference.set(e, c);
+                state.set(e, c);
+            }
+        }
+        assert!(reference.is_proper(&graph));
+        assert_eq!(state.coloring, reference);
+        for e in graph.edges().filter(|&e| !reference.is_colored(e)) {
+            let around = reference.colors_around(&graph, e);
+            let expected: Vec<Color> = lists
+                .list(e)
+                .iter()
+                .copied()
+                .filter(|c| !around.contains(c))
+                .collect();
+            let got: Vec<Color> = state.available(e).collect();
+            assert_eq!(got, expected, "available list of {e} (space {space})");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The mask-derived available list equals `L_e` minus the colors
+        /// around `e`, for list spaces below 64 colors (one word per node)
+        /// and above it (four words per node).
+        #[test]
+        fn used_color_masks_match_colors_around(
+            n in 2usize..24,
+            pairs in proptest::collection::vec((0usize..24, 0usize..24), 0..80),
+            wide in 0usize..2,
+            seed in 0u64..1 << 48,
+        ) {
+            masks_against_reference(n, &pairs, if wide == 1 { 200 } else { 40 }, seed);
+        }
     }
 }

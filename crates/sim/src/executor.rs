@@ -9,9 +9,10 @@
 //!   round execution; carried by [`Network`](crate::Network) and accepted by
 //!   [`run_program_with`](crate::run_program_with).
 //! * [`map_node_chunks`] — the chunked fork/join primitive: the node range
-//!   `0..n` is split into contiguous chunks, one `std::thread::scope` worker
-//!   per chunk, and the per-chunk results are returned **in chunk order** so
-//!   callers can merge them deterministically.
+//!   `0..n` is split into contiguous chunks, run on at most
+//!   [`ExecutionPolicy::effective_threads`] `std::thread::scope` workers
+//!   (each draining consecutive chunks), and the per-chunk results are
+//!   returned **in chunk order** so callers can merge them deterministically.
 //! * [`Chunks`] — the deterministic chunk geometry, including the inverse
 //!   `chunk_of` map used to bucket outgoing messages by destination chunk.
 //!
@@ -273,7 +274,8 @@ impl Chunks {
 /// order.
 ///
 /// With a sequential policy (or a single chunk) `f` runs on the calling
-/// thread; otherwise one scoped worker per chunk runs `f` concurrently. A
+/// thread; otherwise the chunks run concurrently on at most
+/// [`ExecutionPolicy::effective_threads`] scoped workers. A
 /// panic inside a worker is re-raised on the calling thread with its original
 /// payload (the first panicking chunk in chunk order wins), so assertion
 /// messages match the sequential path.
@@ -293,23 +295,47 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    if !policy.spawning_pays_off() || chunks.count() <= 1 {
-        return chunks.ranges().into_iter().map(f).collect();
+    run_jobs(policy, chunks.ranges(), f)
+}
+
+/// Runs `f` over `jobs` and returns the results in job order.
+///
+/// Jobs run inline on the calling thread unless spawning pays off; then at
+/// most [`ExecutionPolicy::effective_threads`] scoped workers run, each
+/// draining a run of consecutive jobs in order. The jobs (the chunks) are
+/// the same whatever the worker count, so results are bit-identical; only
+/// the number of threads spawned per call adapts to the host. A panic
+/// re-raises on the calling thread with the payload of the first panicking
+/// job in job order.
+fn run_jobs<J, T, F>(policy: ExecutionPolicy, jobs: Vec<J>, f: F) -> Vec<T>
+where
+    J: Send,
+    T: Send,
+    F: Fn(J) -> T + Sync,
+{
+    let workers = policy.effective_threads().min(jobs.len());
+    if !policy.spawning_pays_off() || workers <= 1 {
+        return jobs.into_iter().map(f).collect();
     }
+    let groups = Chunks::new(jobs.len(), workers);
+    let mut jobs = jobs.into_iter();
+    let batches: Vec<Vec<J>> = (0..groups.count())
+        .map(|g| jobs.by_ref().take(groups.range(g).len()).collect())
+        .collect();
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = chunks
-            .ranges()
+        let handles: Vec<_> = batches
             .into_iter()
-            .map(|range| scope.spawn(move || f(range)))
+            .map(|batch| scope.spawn(move || batch.into_iter().map(f).collect::<Vec<T>>()))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(value) => value,
+        let mut out = Vec::with_capacity(groups.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+            }
+        }
+        out
     })
 }
 
@@ -362,23 +388,7 @@ where
         "one payload per chunk required"
     );
     let paired: Vec<(Range<usize>, U)> = chunks.ranges().into_iter().zip(payloads).collect();
-    if !policy.spawning_pays_off() || chunks.count() <= 1 {
-        return paired.into_iter().map(|(range, u)| f(range, u)).collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = paired
-            .into_iter()
-            .map(|(range, u)| scope.spawn(move || f(range, u)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(value) => value,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+    run_jobs(policy, paired, |(range, u)| f(range, u))
 }
 
 /// [`for_each_chunk_mut`] over an explicit, caller-owned chunk geometry.
@@ -416,23 +426,9 @@ pub fn for_each_chunk_mut_in<T, U, F>(
         slices.push(head);
         rest = tail;
     }
-    if !policy.spawning_pays_off() || ranges.len() <= 1 {
-        for ((range, slice), payload) in ranges.into_iter().zip(slices).zip(per_chunk) {
-            f(range, slice, payload);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for ((range, slice), payload) in ranges.into_iter().zip(slices).zip(per_chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || f(range, slice, payload)));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
+    let jobs: Vec<_> = ranges.into_iter().zip(slices).zip(per_chunk).collect();
+    run_jobs(policy, jobs, |((range, slice), payload)| {
+        f(range, slice, payload)
     });
 }
 

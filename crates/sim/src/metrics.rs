@@ -30,13 +30,20 @@ impl Metrics {
 
     /// Records one message of the given size.
     pub fn record_message(&mut self, bits: u64, bandwidth_limit: Option<u64>) {
-        self.messages += 1;
-        self.total_bits += bits;
+        self.record_messages(1, bits, bandwidth_limit);
+    }
+
+    /// Records `count` messages of `bits` bits each: the same totals as
+    /// `count` calls of [`Metrics::record_message`] (none for `count = 0`).
+    pub fn record_messages(&mut self, count: u64, bits: u64, bandwidth_limit: Option<u64>) {
+        if count == 0 {
+            return;
+        }
+        self.messages += count;
+        self.total_bits += count * bits;
         self.max_message_bits = self.max_message_bits.max(bits);
-        if let Some(limit) = bandwidth_limit {
-            if bits > limit {
-                self.congest_violations += 1;
-            }
+        if bandwidth_limit.is_some_and(|limit| bits > limit) {
+            self.congest_violations += count;
         }
     }
 

@@ -36,8 +36,17 @@
 //! installed the round falls back to materialized per-node boxes (the
 //! adversary mutates inboxes in place), so fault-free hot paths never pay
 //! for that generality.
+//!
+//! # The pull-based broadcast
+//!
+//! [`Network::broadcast`] does not push at all: every node's message is
+//! built once, and each inbox is gathered by reading the node's adjacency
+//! slice. Adjacency slices are sorted by neighbor id, so the gathered inbox
+//! is in ascending sender order — the order the arena path delivers — and
+//! the mailbox offsets are the graph's CSR offsets, with no count or
+//! permute stage.
 
-use crate::executor::{map_chunks_with, map_node_chunks, Chunks, ExecutionPolicy};
+use crate::executor::{map_chunks, map_chunks_with, map_node_chunks, Chunks, ExecutionPolicy};
 use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::ledger::{LedgerEntry, RoundLedger};
 use crate::metrics::Metrics;
@@ -274,20 +283,6 @@ impl<M: Payload> SendSink<'_, M> {
             "{from} sent two messages over {edge} in a single round"
         );
         self.used.push(edge);
-        self.push(from, edge, msg);
-    }
-
-    /// Enqueues a send whose edge is incident by construction (the
-    /// broadcast path walks the adjacency list, which never repeats an
-    /// edge), skipping the O(degree) duplicate scan.
-    #[inline]
-    fn send_over_incident(&mut self, from: NodeId, edge: EdgeId, msg: M) {
-        debug_assert!(self.graph.is_endpoint(edge, from));
-        self.push(from, edge, msg);
-    }
-
-    #[inline]
-    fn push(&mut self, from: NodeId, edge: EdgeId, msg: M) {
         self.metrics
             .record_message(msg.encoded_bits() as u64, self.limit);
         let target = self.graph.other_endpoint(edge, from).index();
@@ -460,31 +455,12 @@ impl<'g> Network<'g> {
         if self.policy.is_sharded() {
             return self.exchange_sharded(outgoing);
         }
-        self.exchange_chunked(|v, sink| {
-            for (edge, msg) in outgoing(v) {
-                sink.send(v, edge, msg);
-            }
-        })
-    }
-
-    /// The chunked send phase shared by [`Network::exchange_sync`] and
-    /// [`Network::broadcast`]: `emit` is invoked once per node with the
-    /// worker's [`SendSink`] and appends that node's sends to the worker's
-    /// arena buffer.
-    ///
-    /// The sender range is split into **degree-weighted** chunks (a pure
-    /// function of the graph and the policy's thread count, never of the
-    /// workers actually spawned), so a power-law hub does not serialize the
-    /// round on one worker while the result stays bit-identical to the
-    /// sequential pass. On hosts where spawning does not pay off the same
-    /// chunk geometry runs inline on the calling thread.
-    fn exchange_chunked<M>(
-        &mut self,
-        emit: impl Fn(NodeId, &mut SendSink<'_, M>) + Sync,
-    ) -> Mailboxes<M>
-    where
-        M: Payload + Send,
-    {
+        // Sender chunks are degree-weighted (a pure function of the graph
+        // and the policy's thread count, never of the workers actually
+        // spawned), so a power-law hub does not serialize the round on one
+        // worker while the result stays bit-identical to the sequential
+        // pass. On hosts where spawning does not pay off the same chunk
+        // geometry runs inline on the calling thread.
         self.metrics.rounds += 1;
         let limit = self.model.bandwidth_limit();
         let graph = self.graph;
@@ -505,7 +481,9 @@ impl<'g> Network<'g> {
             for raw_v in range {
                 let v = NodeId::new(raw_v);
                 sink.begin_node();
-                emit(v, &mut sink);
+                for (edge, msg) in outgoing(v) {
+                    sink.send(v, edge, msg);
+                }
             }
             sink.metrics
         });
@@ -769,18 +747,25 @@ impl<'g> Network<'g> {
     /// One round in which every node sends the same message to all neighbors.
     /// Honors the network's execution policy (see [`Network::exchange_sync`]).
     ///
-    /// Each node's message is built exactly once and written straight into
-    /// the arena — one clone per neighbor edge except the last, which takes
-    /// the original — with no intermediate `(edge, message)` list and no
-    /// duplicate-edge scan (the adjacency list never repeats an edge).
-    /// Bit-identical to the equivalent [`Network::exchange_sync`] round by
-    /// construction: same sends, same order, same accounting.
+    /// Under the sequential and parallel policies the round is a pull-based
+    /// gather: `msg_of` is evaluated once per node (over the policy's
+    /// degree-weighted chunks), and node `v`'s inbox is its adjacency slice
+    /// read in order, one clone of each neighbor's message per entry. The
+    /// graph's adjacency slices are sorted by neighbor id and a simple graph
+    /// has one edge per neighbor, so that slice order is ascending sender
+    /// order — exactly the order the push-based [`Network::exchange_sync`]
+    /// round delivers — and the mailbox offsets are the graph's own CSR
+    /// offsets. Metrics record `deg(v)` messages of
+    /// `msg_of(v).encoded_bits()` bits for every node `v`, as the equivalent
+    /// push round does. With a fault plan installed the gathered inboxes
+    /// pass through the same adversary; sharded policies route the round
+    /// through the shard router so its cross-shard statistics accrue.
     pub fn broadcast<M>(&mut self, msg_of: impl Fn(NodeId) -> M + Sync) -> Mailboxes<M>
     where
         M: Payload + Send,
     {
+        let graph = self.graph;
         if self.policy.is_sharded() {
-            let graph = self.graph;
             return self.exchange_sharded(|v| {
                 let msg = msg_of(v);
                 graph
@@ -790,16 +775,46 @@ impl<'g> Network<'g> {
                     .collect()
             });
         }
-        let graph = self.graph;
-        self.exchange_chunked(|v, sink| {
-            let msg = msg_of(v);
-            if let Some((last, rest)) = graph.neighbors(v).split_last() {
-                for nb in rest {
-                    sink.send_over_incident(v, nb.edge, msg.clone());
-                }
-                sink.send_over_incident(v, last.edge, msg);
-            }
-        })
+        self.metrics.rounds += 1;
+        let limit = self.model.bandwidth_limit();
+        let chunks = Chunks::degree_weighted(graph.n(), graph.csr_offsets(), self.policy.threads());
+        let per_chunk = map_chunks(&chunks, self.policy, |range| {
+            let mut metrics = Metrics::new();
+            let msgs: Vec<M> = range
+                .map(|raw_v| {
+                    let v = NodeId::new(raw_v);
+                    let msg = msg_of(v);
+                    metrics.record_messages(
+                        graph.degree(v) as u64,
+                        msg.encoded_bits() as u64,
+                        limit,
+                    );
+                    msg
+                })
+                .collect();
+            (msgs, metrics)
+        });
+        let mut msgs: Vec<M> = Vec::with_capacity(graph.n());
+        for (mut chunk_msgs, metrics) in per_chunk {
+            self.metrics.fold_costs(&metrics);
+            msgs.append(&mut chunk_msgs);
+        }
+        let offsets = graph.csr_offsets().to_vec();
+        let mut entries: Vec<Incoming<M>> = Vec::with_capacity(offsets[graph.n()]);
+        for v in graph.nodes() {
+            entries.extend(graph.neighbors(v).iter().map(|nb| Incoming {
+                from: nb.node,
+                edge: nb.edge,
+                msg: msgs[nb.node.index()].clone(),
+            }));
+        }
+        let mail = Mailboxes { offsets, entries };
+        if self.faults.is_none() {
+            return mail;
+        }
+        let mut boxes = mail.into_inner();
+        self.apply_faults(&mut boxes);
+        Mailboxes::from_boxes(boxes)
     }
 
     /// Charges `r` additional rounds without moving data. Used by composed
@@ -815,17 +830,8 @@ impl<'g> Network<'g> {
     /// analytically but whose bandwidth should still be accounted (and checked
     /// against the CONGEST limit).
     pub fn charge_messages(&mut self, count: u64, bits_each: u64) {
-        if count == 0 {
-            return;
-        }
-        self.metrics.messages += count;
-        self.metrics.total_bits += count * bits_each;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_each);
-        if let Some(limit) = self.model.bandwidth_limit() {
-            if bits_each > limit {
-                self.metrics.congest_violations += count;
-            }
-        }
+        self.metrics
+            .record_messages(count, bits_each, self.model.bandwidth_limit());
     }
 
     /// Adds the cost of a sub-execution that ran sequentially after the work

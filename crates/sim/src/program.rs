@@ -13,7 +13,7 @@
 //! that fit in a page (flooding, BFS, proposal/accept steps, token dropping)
 //! have strict implementations running on it.
 
-use crate::executor::{for_each_chunk_mut_in, Chunks, ExecutionPolicy};
+use crate::executor::{for_each_chunk_mut_in, map_chunks_with, Chunks, ExecutionPolicy};
 use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::identifiers::IdAssignment;
 use crate::ledger::{LedgerEntry, RoundLedger};
@@ -452,78 +452,55 @@ where
         }
 
         // Split programs and outputs into disjoint per-chunk mutable slices.
-        let ranges = chunks.ranges();
-        let mut prog_slices: Vec<&mut [P]> = Vec::with_capacity(ranges.len());
-        let mut out_slices: Vec<&mut [Option<P::Output>]> = Vec::with_capacity(ranges.len());
+        let mut slices = Vec::with_capacity(chunk_count);
         let mut prog_rest: &mut [P] = &mut programs;
         let mut out_rest: &mut [Option<P::Output>] = &mut outputs;
-        for range in &ranges {
-            let (ph, pt) = prog_rest.split_at_mut(range.len());
-            prog_slices.push(ph);
+        for c in 0..chunk_count {
+            let len = chunks.range(c).len();
+            let (ph, pt) = prog_rest.split_at_mut(len);
+            let (oh, ot) = out_rest.split_at_mut(len);
+            slices.push((ph, oh));
             prog_rest = pt;
-            let (oh, ot) = out_rest.split_at_mut(range.len());
-            out_slices.push(oh);
             out_rest = ot;
         }
 
-        let outs: Vec<RoundOut<P::Msg>> = std::thread::scope(|scope| {
-            let contexts = &contexts;
-            let inboxes = &inboxes;
-            let chunks = &chunks;
-            let crash_mask = crash_mask.as_deref();
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .zip(prog_slices)
-                .zip(out_slices)
-                .map(|((range, progs), outs)| {
-                    scope.spawn(move || {
-                        let mut chunk_metrics = Metrics::new();
-                        let mut buckets: Vec<Vec<Targeted<P::Msg>>> = Vec::new();
-                        buckets.resize_with(chunk_count, Vec::new);
-                        for (offset, (program, output)) in
-                            progs.iter_mut().zip(outs.iter_mut()).enumerate()
-                        {
-                            if output.is_some() {
-                                continue;
-                            }
-                            let raw_v = range.start + offset;
-                            if crash_mask.is_some_and(|mask| mask[raw_v]) {
-                                continue;
-                            }
-                            let v = NodeId::new(raw_v);
-                            match program.round(&contexts[raw_v], &inboxes[raw_v]) {
-                                Step::Halt(out) => *output = Some(out),
-                                Step::Send(sends) => {
-                                    for (edge, msg) in sends {
-                                        assert!(
-                                            graph.is_endpoint(edge, v),
-                                            "{v} sent over non-incident edge {edge}"
-                                        );
-                                        chunk_metrics
-                                            .record_message(msg.encoded_bits() as u64, limit);
-                                        let target = graph.other_endpoint(edge, v).index();
-                                        buckets[chunks.chunk_of(target)]
-                                            .push((target, Incoming { from: v, edge, msg }));
-                                    }
-                                }
+        let crash_mask_view = crash_mask.as_deref();
+        let outs: Vec<RoundOut<P::Msg>> =
+            map_chunks_with(&chunks, policy, slices, |range, (progs, outs)| {
+                let mut chunk_metrics = Metrics::new();
+                let mut buckets: Vec<Vec<Targeted<P::Msg>>> = Vec::new();
+                buckets.resize_with(chunk_count, Vec::new);
+                for (offset, (program, output)) in progs.iter_mut().zip(outs.iter_mut()).enumerate()
+                {
+                    if output.is_some() {
+                        continue;
+                    }
+                    let raw_v = range.start + offset;
+                    if crash_mask_view.is_some_and(|mask| mask[raw_v]) {
+                        continue;
+                    }
+                    let v = NodeId::new(raw_v);
+                    match program.round(&contexts[raw_v], &inboxes[raw_v]) {
+                        Step::Halt(out) => *output = Some(out),
+                        Step::Send(sends) => {
+                            for (edge, msg) in sends {
+                                assert!(
+                                    graph.is_endpoint(edge, v),
+                                    "{v} sent over non-incident edge {edge}"
+                                );
+                                chunk_metrics.record_message(msg.encoded_bits() as u64, limit);
+                                let target = graph.other_endpoint(edge, v).index();
+                                buckets[chunks.chunk_of(target)]
+                                    .push((target, Incoming { from: v, edge, msg }));
                             }
                         }
-                        RoundOut {
-                            buckets,
-                            metrics: chunk_metrics,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(out) => out,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
+                    }
+                }
+                RoundOut {
+                    buckets,
+                    metrics: chunk_metrics,
+                }
+            });
 
         // Merge the per-chunk metrics in chunk order (order-independent,
         // see `Metrics::fold_costs`; the round itself was charged above).

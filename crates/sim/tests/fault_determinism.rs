@@ -142,6 +142,45 @@ fn faulty_network_exchanges_are_bit_identical_across_policies() {
 }
 
 #[test]
+fn faulty_broadcasts_equal_the_equivalent_exchange_sync_rounds() {
+    // The pull-based broadcast hands the adversary the same canonical
+    // inboxes the push-based exchange does, so a faulty broadcast round
+    // equals the equivalent exchange_sync round under every policy:
+    // mailboxes, metrics and fault stats.
+    let g = generators::random_regular(64, 6, 11).unwrap();
+    let plan = full_plan(29, &g);
+    let msg_of = |v: NodeId| (v.index() * 31) as u64;
+    let mut reference_net = Network::new(&g, Model::Local);
+    reference_net.install_faults(plan.clone());
+    let reference: Vec<_> = (0..6)
+        .map(|_| {
+            reference_net.exchange_sync(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .map(|nb| (nb.edge, msg_of(v)))
+                    .collect()
+            })
+        })
+        .collect();
+    let stats = reference_net.fault_stats().unwrap();
+    assert!(stats.dropped > 0 && stats.delayed > 0, "{stats:?}");
+    for policy in policy_matrix() {
+        let mut net = Network::with_policy(&g, Model::Local, policy);
+        net.install_faults(plan.clone());
+        for (round, expected) in reference.iter().enumerate() {
+            let mail = net.broadcast(msg_of);
+            assert_eq!(&mail, expected, "round {round} differs at {policy}");
+        }
+        assert_eq!(net.metrics(), reference_net.metrics(), "at {policy}");
+        assert_eq!(
+            net.fault_stats(),
+            reference_net.fault_stats(),
+            "at {policy}"
+        );
+    }
+}
+
+#[test]
 fn drop_everything_delivers_nothing() {
     let g = generators::cycle(10);
     let mut net = Network::new(&g, Model::Local);

@@ -72,6 +72,33 @@ proptest! {
         }
     }
 
+    /// `broadcast` gathers inboxes from adjacency slices instead of pushing
+    /// sends; it must equal the equivalent push-based `exchange_sync` round
+    /// (every node sends its message over every incident edge) under every
+    /// policy. Payload sizes vary per node, so bit totals, the size maximum
+    /// and congest violations are all exercised; isolated nodes send nothing.
+    #[test]
+    fn broadcast_equals_the_equivalent_exchange_sync_round((g, model, seed) in
+        (arb_graph(), arb_model(), 0u64..1000))
+    {
+        let msg_of = |v: NodeId| vec![seed ^ v.index() as u64; v.index() % 4 + 1];
+        let mut reference_net = Network::new(&g, model);
+        let reference = reference_net.exchange_sync(|v| {
+            g.neighbors(v).iter().map(|nb| (nb.edge, msg_of(v))).collect()
+        });
+        for policy in [
+            ExecutionPolicy::Sequential,
+            ExecutionPolicy::parallel(2),
+            ExecutionPolicy::parallel(3),
+            ExecutionPolicy::sharded(4, 2),
+        ] {
+            let mut net = Network::with_policy(&g, model, policy);
+            let mail = net.broadcast(msg_of);
+            prop_assert_eq!(&mail, &reference, "mailboxes at {}", policy);
+            prop_assert_eq!(net.metrics(), reference_net.metrics(), "metrics at {}", policy);
+        }
+    }
+
     #[test]
     fn exchange_sync_is_bit_identical((g, model, seed) in
         (arb_graph(), arb_model(), 0u64..1000))
