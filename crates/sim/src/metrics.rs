@@ -35,7 +35,7 @@ impl Metrics {
 
     /// Records `count` messages of `bits` bits each: the same totals as
     /// `count` calls of [`Metrics::record_message`] (none for `count = 0`).
-    pub fn record_messages(&mut self, count: u64, bits: u64, bandwidth_limit: Option<u64>) {
+    pub(crate) fn record_messages(&mut self, count: u64, bits: u64, bandwidth_limit: Option<u64>) {
         if count == 0 {
             return;
         }
