@@ -15,9 +15,9 @@
 //!
 //! Every network carries an [`ExecutionPolicy`]. Rounds issued through
 //! [`Network::exchange_sync`] or [`Network::broadcast`] honor it: under
-//! `Parallel { threads }` the per-node send closures run on a scoped worker
+//! `Parallel { threads }` the per-node closures run on a scoped worker
 //! pool over degree-weighted contiguous node chunks and the per-chunk
-//! arenas and metrics are merged in chunk order, which makes the result
+//! results and metrics are merged in chunk order, which makes the result
 //! **byte-identical** to the sequential execution at any thread count.
 //! [`Network::exchange`] takes a stateful `FnMut` closure and therefore
 //! always runs sequentially.
