@@ -1,4 +1,4 @@
-//! Prints the evaluation suite E1–E11 plus the SCALE/DYN/SHARD experiments
+//! Prints the evaluation suite E1–E11 plus the SCALE/DYN/FAULT/IO/SERVE experiments
 //! (see DESIGN.md and EXPERIMENTS.md) and optionally serializes everything —
 //! tables and per-experiment wall-clock timings — to a machine-readable
 //! JSON file (the `BENCH_*.json` schema documented in docs/BENCH_SCHEMA.md).
@@ -9,12 +9,11 @@
 //!   cargo run --release -p edgecolor-bench --bin experiments -- quick      # smaller sweeps (no SCALE)
 //!   cargo run --release -p edgecolor-bench --bin experiments -- scale      # million-edge SCALE only
 //!   cargo run --release -p edgecolor-bench --bin experiments -- dyn        # million-edge dynamic recoloring
-//!   cargo run --release -p edgecolor-bench --bin experiments -- shard      # sharded substrate (partition/traffic)
 //!   cargo run --release -p edgecolor-bench --bin experiments -- fault      # fault adversary + self-stabilizing recovery
 //!   cargo run --release -p edgecolor-bench --bin experiments -- io         # out-of-core load paths + locality reordering
 //!   cargo run --release -p edgecolor-bench --bin experiments -- rounds     # round-complexity gate: E1/E2/E3 only, quick-size
-//!   cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn shard fault io  # CI: tiny sweeps + tiny SCALE/DYN/SHARD
-//!   cargo run --release -p edgecolor-bench --bin experiments -- quick scale dyn shard fault io --emit-json BENCH_1.json
+//!   cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn fault io  # CI: tiny sweeps + tiny SCALE/DYN
+//!   cargo run --release -p edgecolor-bench --bin experiments -- quick scale dyn fault io --emit-json BENCH_1.json
 //!
 //! The CI `bench-regression` job additionally passes
 //! `--check-baseline BENCH_1.json --diff-out /tmp/diff.txt`: the freshly
@@ -190,15 +189,6 @@ fn main() {
     if dyn_wanted {
         timed(&mut || bench::run_dyn(!smoke));
     }
-    let shard_wanted = selectors.is_empty() || selectors.iter().any(|a| a == "shard" || a == "all");
-    let mut shard_measurements = Vec::new();
-    if shard_wanted {
-        timed(&mut || {
-            let (table, measurements) = bench::run_shard(!smoke);
-            shard_measurements = measurements;
-            table
-        });
-    }
     // FAULT runs the same modest-size configurations under every selector
     // size, so the rows a CI smoke run emits are key-comparable to the
     // committed baseline (the point of the bench-regression contract).
@@ -249,7 +239,6 @@ fn main() {
     let doc = build_json(
         &tables,
         &scale_measurements,
-        &shard_measurements,
         &fault_measurements,
         &io_measurements,
         &serve_measurements,
@@ -338,14 +327,14 @@ fn prune_baseline_for_rounds(doc: JsonValue) -> JsonValue {
     prune_baseline(
         doc,
         &|id| matches!(id, "E1" | "E2" | "E3"),
-        &["scale", "shard", "fault", "io", "serve"],
+        &["scale", "fault", "io", "serve"],
     )
 }
 
 /// The `io` gate reproduces only the IO experiment: the IO table and the
 /// `io` measurement array (with its cold-start floor) keep their contract.
 fn prune_baseline_for_io(doc: JsonValue) -> JsonValue {
-    prune_baseline(doc, &|id| id == "IO", &["scale", "shard", "fault", "serve"])
+    prune_baseline(doc, &|id| id == "IO", &["scale", "fault", "serve"])
 }
 
 /// Assembles the `edgecolor-bench/v1` JSON document (schema in
@@ -353,7 +342,6 @@ fn prune_baseline_for_io(doc: JsonValue) -> JsonValue {
 fn build_json(
     tables: &[TimedTable],
     scale: &[bench::ScaleMeasurement],
-    shard: &[bench::ShardMeasurement],
     fault: &[bench::FaultMeasurement],
     io: &[bench::IoMeasurement],
     serve: &[bench::ServeMeasurement],
@@ -424,44 +412,6 @@ fn build_json(
                     m.speedup_floor.map_or(JsonValue::Null, JsonValue::Num),
                 ),
                 ("meets_floor", JsonValue::Bool(m.meets_floor)),
-            ])
-        })
-        .collect();
-    let shard_entries = shard
-        .iter()
-        .map(|m| {
-            let opt_num = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Num);
-            JsonValue::obj(vec![
-                ("workload", JsonValue::str(m.workload.clone())),
-                ("graph", JsonValue::str(m.graph.clone())),
-                ("n", JsonValue::Int(m.n as i64)),
-                ("m", JsonValue::Int(m.m as i64)),
-                ("shards", JsonValue::Int(m.shards as i64)),
-                ("cut_fraction", JsonValue::Num(m.cut_fraction)),
-                ("balance_factor", JsonValue::Num(m.balance_factor)),
-                ("partition_ms", JsonValue::Num(m.partition_ms)),
-                ("wall_ms", JsonValue::Num(m.wall_ms)),
-                ("seq_wall_ms", JsonValue::Num(m.seq_wall_ms)),
-                ("rounds", JsonValue::Int(m.rounds as i64)),
-                (
-                    "cross_messages_per_round",
-                    opt_num(m.cross_messages_per_round),
-                ),
-                ("cross_bytes_per_round", opt_num(m.cross_bytes_per_round)),
-                (
-                    "identical_to_sequential",
-                    JsonValue::Bool(m.identical_to_sequential),
-                ),
-                (
-                    "repaired_edges",
-                    m.repaired_edges
-                        .map_or(JsonValue::Null, |v| JsonValue::Int(v as i64)),
-                ),
-                (
-                    "peak_rss_bytes",
-                    m.peak_rss_bytes
-                        .map_or(JsonValue::Null, |v| JsonValue::Int(v as i64)),
-                ),
             ])
         })
         .collect();
@@ -575,7 +525,6 @@ fn build_json(
         ),
         ("experiments", JsonValue::Arr(experiments)),
         ("scale", JsonValue::Arr(scale_entries)),
-        ("shard", JsonValue::Arr(shard_entries)),
         ("fault", JsonValue::Arr(fault_entries)),
         ("io", JsonValue::Arr(io_entries)),
         ("serve", JsonValue::Arr(serve_entries)),

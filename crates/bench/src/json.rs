@@ -1,9 +1,8 @@
 //! A minimal JSON writer **and parser** for the machine-readable benchmark
 //! artifacts.
 //!
-//! The workspace's offline `serde` stand-in provides marker traits only (see
-//! `crates/compat/README.md`), so the `BENCH_*.json` files are rendered by
-//! this hand-rolled emitter instead. It covers exactly what the bench schema
+//! The workspace builds offline with no serialization framework, so the
+//! `BENCH_*.json` files are rendered by this hand-rolled emitter. It covers exactly what the bench schema
 //! needs: objects, arrays, strings (with escaping), integers, finite floats
 //! and booleans. The parser ([`JsonValue::parse`]) reads the same dialect
 //! back — the `bench-regression` CI job uses it to diff a fresh run against

@@ -2,8 +2,8 @@
 //! document against the committed `BENCH_1.json` baseline.
 //!
 //! The experiment harness is deterministic wherever the simulation is:
-//! round counts, colors used, cut fractions, message/traffic counters and
-//! the fault adversary's effect replay exactly for a given seed. Wall-clock
+//! round counts, colors used, message/traffic counters and the fault
+//! adversary's effect replay exactly for a given seed. Wall-clock
 //! fields are host noise. This module encodes that split as an explicit
 //! **tolerance table** ([`column_rule`], [`SCALE_FIELDS`] & friends) and
 //! compares the two documents row by row:
@@ -11,10 +11,10 @@
 //! * `experiments` tables are matched by experiment id, then row-keyed on
 //!   their input columns ([`key_columns`]); rows present in only one
 //!   document are *skipped* (the committed baseline carries full-size
-//!   SCALE/DYN/SHARD rows a CI smoke run does not reproduce), rows present
-//!   in both are compared cell-by-cell under the column rules;
-//! * the `scale` / `shard` / `fault` measurement arrays are keyed on their
-//!   identity fields and compared field-by-field the same way.
+//!   SCALE/DYN rows a CI smoke run does not reproduce), rows present in
+//!   both are compared cell-by-cell under the column rules;
+//! * the `scale` / `fault` / `io` / `serve` measurement arrays are keyed on
+//!   their identity fields and compared field-by-field the same way.
 //!
 //! A non-empty mismatch list — or a suspiciously low compared-row count,
 //! which would mean the contract silently stopped matching anything — fails
@@ -47,12 +47,9 @@ const IGNORED_TABLE_COLUMNS: &[&str] = &[
     "wall ms",
     "repair wall ms",
     "initial color ms",
-    "partition ms",
-    "seq ms",
     "speedup",
     // `floor` is derived from the measuring host's parallelism.
     "floor",
-    "cross KiB/round",
     // Wall-clock-derived throughput; the `scale` measurement array holds
     // the same quantity to a MinFresh floor instead.
     "rounds/s",
@@ -79,14 +76,11 @@ const IGNORED_TABLE_COLUMNS: &[&str] = &[
 /// Float-formatted but deterministic table columns: compared numerically
 /// with a round-trip guard tolerance instead of string equality.
 const FLOAT_TABLE_COLUMNS: &[&str] = &[
-    "cut frac",
-    "balance",
     "max defect ratio",
     "measured β",
     "guaranteed β",
     "touched frac",
     "colors/Δ",
-    "cross msg/round",
     "ε",
     "red share",
     // E1/E3 scaling-fit columns: deterministic derivations of the (exactly
@@ -114,13 +108,13 @@ pub fn column_rule(_id: &str, header: &str) -> Rule {
 }
 
 /// Whether an experiment table is *required* to match at least one
-/// baseline row by key. The full-size SCALE/DYN/SHARD tables legitimately
+/// baseline row by key. The full-size SCALE/DYN tables legitimately
 /// share no row keys with a down-scaled smoke run; every other table (the
 /// E-sweeps and FAULT, whose configurations are scale-invariant) matching
 /// zero rows means its coverage silently evaporated — e.g. a selector
 /// dropped from the CI command — and must fail the gate.
 pub fn requires_matched_rows(id: &str) -> bool {
-    !matches!(id, "SCALE" | "DYN" | "SHARD")
+    !matches!(id, "SCALE" | "DYN")
 }
 
 /// The columns forming a row's identity per experiment id (input
@@ -136,7 +130,6 @@ pub fn key_columns(id: &str) -> &'static [&'static str] {
         "E10" => &["list shape"],
         "SCALE" => &["graph", "threads"],
         "DYN" => &["scenario", "n", "m"],
-        "SHARD" => &["workload", "graph", "shards"],
         "FAULT" => &["workload", "graph", "seed"],
         "IO" => &["graph", "method"],
         "SERVE" => &["graph", "clients", "read‰", "graphs", "inflight"],
@@ -171,21 +164,6 @@ pub const SCALE_FIELDS: (&[&str], &[(&str, Rule)]) = (
         // engine (counted by the experiments binary's allocator shim on the
         // cheapest rep) — any drift is a real behavior change.
         ("allocs_per_round", Rule::Exact),
-    ],
-);
-
-/// Identity fields and compared fields of the `shard` measurement array.
-pub const SHARD_FIELDS: (&[&str], &[(&str, Rule)]) = (
-    &["workload", "graph", "shards"],
-    &[
-        ("n", Rule::Exact),
-        ("m", Rule::Exact),
-        ("rounds", Rule::Exact),
-        ("cut_fraction", Rule::AbsTol(1e-9)),
-        ("balance_factor", Rule::AbsTol(1e-9)),
-        ("cross_messages_per_round", Rule::AbsTol(1e-6)),
-        ("cross_bytes_per_round", Rule::AbsTol(1e-6)),
-        ("repaired_edges", Rule::Exact),
     ],
 );
 
@@ -316,11 +294,9 @@ pub fn compare(baseline: &JsonValue, fresh: &JsonValue) -> RegressionReport {
     compare_experiment_tables(baseline, fresh, &mut report);
     // The `fault` and `io` arrays are scale-invariant (identical
     // configurations in baseline and smoke runs), so they must match;
-    // `scale`/`shard` rows legitimately differ between full-size and smoke
-    // runs.
+    // `scale` rows legitimately differ between full-size and smoke runs.
     for (array, (keys, fields), require_match) in [
         ("scale", SCALE_FIELDS, false),
-        ("shard", SHARD_FIELDS, false),
         ("fault", FAULT_FIELDS, true),
         ("io", IO_FIELDS, true),
         ("serve", SERVE_FIELDS, true),
@@ -607,7 +583,7 @@ fn table_rows(table: &JsonValue) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
-    fn doc(rounds: &str, wall: &str, cut: f64) -> JsonValue {
+    fn doc(rounds: &str, wall: &str, bytes: f64) -> JsonValue {
         JsonValue::obj(vec![
             ("schema", JsonValue::str("edgecolor-bench/v1")),
             (
@@ -633,23 +609,18 @@ mod tests {
                 ])]),
             ),
             (
-                "shard",
+                "scale",
                 JsonValue::Arr(vec![JsonValue::obj(vec![
-                    ("workload", JsonValue::str("flood")),
                     ("graph", JsonValue::str("g")),
-                    ("shards", JsonValue::Int(4)),
+                    ("threads", JsonValue::Int(4)),
                     ("n", JsonValue::Int(10)),
                     ("m", JsonValue::Int(20)),
                     ("rounds", JsonValue::Int(7)),
-                    ("cut_fraction", JsonValue::Num(cut)),
-                    ("balance_factor", JsonValue::Num(1.0)),
-                    ("cross_messages_per_round", JsonValue::Null),
-                    ("cross_bytes_per_round", JsonValue::Null),
-                    ("repaired_edges", JsonValue::Null),
+                    ("messages", JsonValue::Int(280)),
+                    ("bytes_per_round", JsonValue::Num(bytes)),
                     ("wall_ms", JsonValue::Num(1.25)),
                 ])]),
             ),
-            ("scale", JsonValue::Arr(vec![])),
             ("fault", JsonValue::Arr(vec![])),
         ])
     }
@@ -680,10 +651,10 @@ mod tests {
     }
 
     #[test]
-    fn cut_fraction_drift_beyond_tolerance_fails() {
+    fn float_drift_beyond_tolerance_fails() {
         let report = compare(&doc("41", "3.5", 0.25), &doc("41", "3.5", 0.35));
         assert_eq!(report.mismatches.len(), 1);
-        assert!(report.mismatches[0].contains("cut_fraction"));
+        assert!(report.mismatches[0].contains("bytes_per_round"));
         // Within tolerance passes.
         let report = compare(&doc("41", "3.5", 0.25), &doc("41", "3.5", 0.25 + 1e-12));
         assert!(report.mismatches.is_empty());
@@ -712,9 +683,9 @@ mod tests {
     fn scale_mismatched_rows_are_skipped_not_failed() {
         let a = doc("41", "3.5", 0.25);
         let mut b = doc("41", "3.5", 0.25);
-        // Rename the fresh shard row's graph: keys no longer match.
+        // Rename the fresh scale row's graph: keys no longer match.
         if let Some(JsonValue::Obj(row)) = b
-            .get("shard")
+            .get("scale")
             .and_then(JsonValue::as_array)
             .map(|arr| arr[0].clone())
             .as_ref()
@@ -727,7 +698,7 @@ mod tests {
             }
             if let JsonValue::Obj(fields) = &mut b {
                 for (k, v) in fields.iter_mut() {
-                    if k == "shard" {
+                    if k == "scale" {
                         *v = JsonValue::Arr(vec![JsonValue::Obj(row.clone())]);
                     }
                 }
@@ -736,7 +707,7 @@ mod tests {
         let report = compare(&a, &b);
         assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
         assert_eq!(report.compared_rows, 1); // only the E1 row
-        assert_eq!(report.skipped_rows, 2); // baseline + fresh shard rows
+        assert_eq!(report.skipped_rows, 2); // baseline + fresh scale rows
     }
 
     #[test]
@@ -801,8 +772,7 @@ mod tests {
 
     #[test]
     fn required_match_arrays_fail_when_emptied() {
-        // Move the baseline's shard row into `fault` shape? Simpler: a
-        // baseline with one fault row and a fresh doc with none.
+        // A baseline with one fault row and a fresh doc with none.
         let fault_row = JsonValue::obj(vec![
             ("workload", JsonValue::str("flood")),
             ("graph", JsonValue::str("g/full")),
@@ -814,7 +784,6 @@ mod tests {
                 ("schema", JsonValue::str("edgecolor-bench/v1")),
                 ("experiments", JsonValue::Arr(vec![])),
                 ("scale", JsonValue::Arr(vec![])),
-                ("shard", JsonValue::Arr(vec![])),
                 ("fault", JsonValue::Arr(rows)),
             ])
         };
@@ -827,7 +796,7 @@ mod tests {
             "{:?}",
             report.mismatches
         );
-        // Scale/shard arrays keep their skip semantics.
+        // Identical fault rows match.
         let report = compare(
             &with_fault(vec![fault_row.clone()]),
             &with_fault(vec![fault_row]),
@@ -840,7 +809,7 @@ mod tests {
         assert_eq!(column_rule("E1", "wall ms"), Rule::Ignore);
         assert_eq!(column_rule("SCALE", "speedup"), Rule::Ignore);
         assert_eq!(column_rule("SCALE", "floor"), Rule::Ignore);
-        assert_eq!(column_rule("SHARD", "cut frac"), Rule::AbsTol(1e-6));
+        assert_eq!(column_rule("E9", "colors/Δ"), Rule::AbsTol(1e-6));
         // The round-complexity contract: E1/E3 round counts are exact-match.
         assert_eq!(column_rule("E1", "ours rounds"), Rule::Exact);
         assert_eq!(column_rule("E3", "rounds"), Rule::Exact);
@@ -898,7 +867,6 @@ mod tests {
             ("schema", JsonValue::str("edgecolor-bench/v1")),
             ("experiments", JsonValue::Arr(vec![])),
             ("scale", JsonValue::Arr(vec![])),
-            ("shard", JsonValue::Arr(vec![])),
             ("fault", JsonValue::Arr(vec![])),
             (
                 "io",
@@ -981,7 +949,6 @@ mod tests {
                     ("speedup_vs_sequential", JsonValue::Num(speedup)),
                 ])]),
             ),
-            ("shard", JsonValue::Arr(vec![])),
             ("fault", JsonValue::Arr(vec![])),
         ])
     }
@@ -1031,7 +998,6 @@ mod tests {
                     ])]),
                 ),
                 ("scale", JsonValue::Arr(vec![])),
-                ("shard", JsonValue::Arr(vec![])),
                 ("fault", JsonValue::Arr(vec![])),
             ])
         };

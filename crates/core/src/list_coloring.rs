@@ -781,8 +781,8 @@ pub fn default_palette(delta: usize) -> usize {
 /// assert!(outcome.coloring.palette_size() <= 2 * graph.max_degree() - 1);
 ///
 /// // Execution policies never change the result, only how rounds execute:
-/// let sharded = ColoringParams::new(0.5).with_policy(ExecutionPolicy::sharded(4, 2));
-/// assert_eq!(color_edges_local(&graph, &ids, &sharded)?.coloring, outcome.coloring);
+/// let parallel = ColoringParams::new(0.5).with_policy(ExecutionPolicy::parallel(2));
+/// assert_eq!(color_edges_local(&graph, &ids, &parallel)?.coloring, outcome.coloring);
 /// # Ok::<(), edgecolor::ColoringError>(())
 /// ```
 pub fn color_edges_local(

@@ -13,10 +13,9 @@
 //! measured empirically for the practical one (see DESIGN.md, substitutions).
 
 use distsim::ExecutionPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Which constant-factor regime to use for the paper's parameter formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParamProfile {
     /// The literal constants of Equations (4)–(7) of the paper.
     Paper,
@@ -29,7 +28,7 @@ pub enum ParamProfile {
 
 /// Parameters of the Section 5 balanced-orientation algorithm for a fixed
 /// target `ε` and maximum edge degree `Δ̄`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrientationParams {
     /// The target `ε` of Definition 5.2 / Theorem 5.6.
     pub eps: f64,
@@ -156,7 +155,7 @@ impl OrientationParams {
 
 /// Parameters for the higher-level coloring algorithms (Sections 6, 7 and
 /// Appendices C, D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColoringParams {
     /// Target `ε` of the headline bounds ((8+ε)Δ, (2+ε)Δ, list slack loss).
     pub eps: f64,
@@ -173,12 +172,10 @@ pub struct ColoringParams {
     /// generous so that it never binds unless something is wrong).
     pub max_outer_iterations: u32,
     /// How the simulator executes each round's per-node work:
-    /// [`ExecutionPolicy::Sequential`], a worker pool
-    /// (`Parallel { threads }`) or the partitioned substrate
-    /// (`Sharded { shards, threads }`, which runs rounds shard-locally and
-    /// batches cross-shard boundary messages). The produced colorings,
-    /// metrics and mailboxes are bit-identical under every policy; only
-    /// wall-clock time and the delivery route change.
+    /// [`ExecutionPolicy::Sequential`] or a worker pool
+    /// (`Parallel { threads }`). The produced colorings, metrics and
+    /// mailboxes are bit-identical under every policy; only wall-clock time
+    /// changes.
     pub policy: ExecutionPolicy,
 }
 

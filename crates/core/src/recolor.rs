@@ -31,12 +31,9 @@
 //! [`Recoloring::refresh`] to re-tighten the budget explicitly.
 //!
 //! Everything here threads [`ExecutionPolicy`](distsim::ExecutionPolicy)
-//! through unchanged: repairs
-//! are bit-identical under `Sequential`, any `Parallel{t}` policy and any
-//! `Sharded{k, t}` policy (the partitioned substrate of `crates/shard`),
-//! because the underlying machinery is (see
-//! `crates/sim/tests/parallel_determinism.rs`,
-//! `crates/sim/tests/sharded_determinism.rs` and `tests/differential.rs`).
+//! through unchanged: repairs are bit-identical under `Sequential` and any
+//! `Parallel{t}` policy, because the underlying machinery is (see
+//! `crates/sim/tests/parallel_determinism.rs` and `tests/differential.rs`).
 
 use crate::error::ColoringError;
 use crate::list_coloring::{color_edges_local, list_edge_coloring};

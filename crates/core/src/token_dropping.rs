@@ -18,13 +18,12 @@
 
 use distgraph::NodeId;
 use distsim::{map_node_chunks, ExecutionPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Index of an arc of a [`TokenGame`].
 pub type ArcId = usize;
 
 /// A generalized token dropping game instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenGame {
     /// Number of nodes (nodes are `0..n`, reusing the host graph's ids).
     pub n: usize,
@@ -37,7 +36,7 @@ pub struct TokenGame {
 }
 
 /// Per-node parameters of the distributed solver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenGameParams {
     /// Per-node slack-control values `α_v ≥ δ ≥ 1`.
     pub alpha: Vec<usize>,
@@ -47,7 +46,7 @@ pub struct TokenGameParams {
 }
 
 /// The outcome of playing the game.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenGameResult {
     /// Final number of tokens per node.
     pub tokens: Vec<usize>,

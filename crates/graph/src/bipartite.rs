@@ -10,10 +10,9 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId, Side};
-use serde::{Deserialize, Serialize};
 
 /// A graph together with a valid bipartition of its nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BipartiteGraph {
     graph: Graph,
     sides: Vec<Side>,

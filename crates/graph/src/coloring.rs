@@ -12,10 +12,9 @@
 
 use crate::graph::Graph;
 use crate::ids::{Color, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A total assignment of colors to nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexColoring {
     colors: Vec<Color>,
 }
@@ -106,7 +105,7 @@ impl VertexColoring {
 /// Every algorithm in the reproduction colors edges in stages, so the natural
 /// representation is `Option<Color>` per edge; [`EdgeColoring::is_complete`]
 /// distinguishes finished colorings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeColoring {
     colors: Vec<Option<Color>>,
 }

@@ -9,11 +9,10 @@
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One adjacency entry: the neighboring node and the edge connecting to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Neighbor {
     /// The neighboring node.
     pub node: NodeId,
@@ -37,7 +36,7 @@ pub struct Neighbor {
 /// let e = g.edge_between(1.into(), 2.into()).unwrap();
 /// assert_eq!(g.edge_degree(e), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// CSR offsets, length `n + 1`.
     offsets: Vec<usize>,

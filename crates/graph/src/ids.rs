@@ -5,7 +5,6 @@
 //! index is a compile error rather than a silent bug).
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (vertex) of a [`Graph`](crate::Graph).
@@ -14,13 +13,13 @@ use std::fmt;
 /// identifiers from `{1, ..., poly n}` required by the LOCAL model are a
 /// separate concept handled by the simulator (`distsim::IdAssignment`);
 /// `NodeId` is purely the array index of the node in the simulated topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of an undirected edge of a [`Graph`](crate::Graph).
 ///
 /// Edge identifiers are dense indices in `0..m` in insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 /// A color, used both for vertex and edge colorings.
@@ -129,7 +128,7 @@ impl fmt::Display for EdgeId {
 ///
 /// The paper's Section 5 algorithms assume a bipartite graph `G = (U ∪ V, E)`
 /// in which every node knows whether it belongs to `U` or to `V`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// The `U` side of the bipartition.
     U,

@@ -9,10 +9,9 @@
 
 use crate::graph::Graph;
 use crate::ids::{Color, EdgeId};
-use serde::{Deserialize, Serialize};
 
 /// Per-edge color lists over a common color space `{0, ..., space_size - 1}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListAssignment {
     space_size: usize,
     lists: Vec<Vec<Color>>,

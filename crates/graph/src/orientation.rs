@@ -9,12 +9,11 @@
 
 use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A partial orientation of the edges of a graph.
 ///
 /// Each edge is either unoriented or oriented towards one of its endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Orientation {
     /// For each edge, the node it is oriented towards (its "head"), if any.
     head: Vec<Option<NodeId>>,

@@ -89,19 +89,6 @@ pub struct PaletteInfo {
     pub colors_used: u64,
 }
 
-/// Shard-cut introspection of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardCut {
-    /// Shard count the partition was built with.
-    pub shards: u32,
-    /// Edges crossing shard boundaries.
-    pub cut_edges: u64,
-    /// `cut_edges / m`.
-    pub cut_fraction: f64,
-    /// `max shard nodes / (n / shards)`.
-    pub balance_factor: f64,
-}
-
 /// Handle for one in-flight pipelined request; redeem it with
 /// [`PipelinedClient::recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -410,28 +397,6 @@ impl Client {
                 colors_used,
             }),
             other => Err(unexpected("Palette", other)),
-        }
-    }
-
-    /// Shard-cut introspection of the targeted graph.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn shards(&mut self, shards: u32) -> Result<ShardCut, ClientError> {
-        match self.request(&Request::ShardInfo { shards })? {
-            Response::Shards {
-                shards,
-                cut_edges,
-                cut_fraction,
-                balance_factor,
-            } => Ok(ShardCut {
-                shards,
-                cut_edges,
-                cut_fraction,
-                balance_factor,
-            }),
-            other => Err(unexpected("Shards", other)),
         }
     }
 

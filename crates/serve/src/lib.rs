@@ -31,9 +31,9 @@
 //! * **Hot swap** replaces a served snapshot under an epoch bump;
 //!   in-flight reads finish on the old epoch, and a corrupt snapshot is
 //!   rejected with the old one still serving.
-//! * **Introspection** (metrics with full latency [`hist`]ograms, palette,
-//!   shard cut) and a deterministic [`loadgen`] close the loop for the
-//!   bench layer's `SERVE` experiment.
+//! * **Introspection** (metrics with full latency [`hist`]ograms and
+//!   palette) and a deterministic [`loadgen`] close the loop for the bench
+//!   layer's `SERVE` experiment.
 //!
 //! See `docs/SERVE.md` for the frame format, handshake, admission
 //! semantics and the hot-swap epoch contract.

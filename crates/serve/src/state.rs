@@ -48,7 +48,6 @@ use crate::error::SetupError;
 use crate::hist::LatencyHistogram;
 use crate::wire::{GraphInfo, LookupOutcome, MetricsReport, RejectCode, Request, Response};
 use distgraph::{DynamicGraph, EdgeColoring, EdgeId, Graph, NodeId, UpdateBatch};
-use distshard::bfs_partition;
 use distsim::{ExecutionPolicy, IdAssignment};
 use diststore::{LoadedSnapshot, Snapshot};
 use edgecolor::{default_palette, ColoringParams, Recoloring, SelfStabilizing};
@@ -343,7 +342,6 @@ impl Tenant {
             Request::Submit { delete, insert } => self.submit(delete, insert),
             Request::Metrics => Response::Metrics(Box::new(self.metrics(protocol_errors))),
             Request::Palette => self.palette(),
-            Request::ShardInfo { shards } => self.shards(*shards),
             Request::Swap { path } => self.swap(path),
             Request::Flush => self.flush(),
             Request::Shutdown => Response::ShuttingDown,
@@ -680,21 +678,6 @@ impl Tenant {
         }
     }
 
-    /// Partitions the current graph with the shard substrate and reports
-    /// the cut. Built on demand — the daemon serves colors, not shards, so
-    /// nothing is cached across epochs.
-    pub fn shards(&self, shards: u32) -> Response {
-        let st = self.state_snapshot();
-        let wanted = shards.clamp(1, 1 << 16) as usize;
-        let report = bfs_partition(st.dg.graph(), wanted).report(st.dg.graph());
-        Response::Shards {
-            shards: report.shards as u32,
-            cut_edges: report.cut_edges as u64,
-            cut_fraction: report.cut_fraction,
-            balance_factor: report.balance_factor,
-        }
-    }
-
     /// Hot-swaps the served snapshot: quiesce admissions, apply what was
     /// already admitted, open + validate the new snapshot, publish it under
     /// `epoch + 1`. Any failure leaves the old generation serving. Scoped
@@ -966,11 +949,6 @@ impl ServerCore {
         self.default_tenant().palette()
     }
 
-    /// [`Tenant::shards`] on the default graph.
-    pub fn shards(&self, shards: u32) -> Response {
-        self.default_tenant().shards(shards)
-    }
-
     /// [`Tenant::swap`] on the default graph.
     pub fn swap(&self, path: &str) -> Response {
         self.default_tenant().swap(path)
@@ -1189,18 +1167,6 @@ mod tests {
                 assert!((4..=6).contains(&max_degree));
                 assert!(palette >= 2 * max_degree - 1);
                 assert!(colors_used <= palette);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match core.shards(4) {
-            Response::Shards {
-                shards: 4,
-                cut_edges,
-                balance_factor,
-                ..
-            } => {
-                assert!(cut_edges > 0);
-                assert!(balance_factor >= 1.0);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! with `1 ≤ len ≤` [`MAX_FRAME_LEN`]. A *message payload* is a **u8
-//! opcode** plus a little-endian body (floats as `f64::to_bits`, strings
-//! and vectors as a `u32` count followed by the elements). Requests use
+//! opcode** plus a little-endian body (strings and vectors as a `u32` count
+//! followed by the elements). Requests use
 //! opcodes `0x01..=0x10`, responses `0x81..=0x90`.
 //!
 //! **Protocol v2** wraps message payloads in a routing header. A
@@ -222,12 +222,6 @@ pub enum Request {
     Metrics,
     /// Fetch palette/coloring introspection (`0x04`).
     Palette,
-    /// Partition the current graph into `shards` shards and report the cut
-    /// (`0x05`).
-    ShardInfo {
-        /// Requested shard count.
-        shards: u32,
-    },
     /// Hot-swap the served snapshot to the file at `path` (`0x06`).
     Swap {
         /// Path of the snapshot file, UTF-8.
@@ -283,17 +277,6 @@ pub enum Response {
         max_degree: u64,
         /// Distinct colors actually used.
         colors_used: u64,
-    },
-    /// Shard introspection (`0x86`).
-    Shards {
-        /// Shard count the partition was built with.
-        shards: u32,
-        /// Edges crossing shard boundaries.
-        cut_edges: u64,
-        /// `cut_edges / m`.
-        cut_fraction: f64,
-        /// `max shard nodes / (n / shards)`.
-        balance_factor: f64,
     },
     /// Hot swap succeeded (`0x87`).
     Swapped {
@@ -387,10 +370,6 @@ impl<'a> PayloadReader<'a> {
         ]))
     }
 
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a `u32` element count and proves `count * elem_size` bytes are
     /// actually present before the caller allocates anything.
     fn count(&mut self, elem_size: usize) -> Result<usize, ProtocolError> {
@@ -452,10 +431,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
@@ -497,10 +472,6 @@ impl Request {
             }
             Request::Metrics => out.push(0x03),
             Request::Palette => out.push(0x04),
-            Request::ShardInfo { shards } => {
-                out.push(0x05);
-                put_u32(&mut out, *shards);
-            }
             Request::Swap { path } => {
                 out.push(0x06);
                 put_string(&mut out, path);
@@ -545,7 +516,6 @@ impl Request {
             }
             0x03 => Request::Metrics,
             0x04 => Request::Palette,
-            0x05 => Request::ShardInfo { shards: r.u32()? },
             0x06 => Request::Swap {
                 path: r.swap_path()?,
             },
@@ -637,18 +607,6 @@ impl Response {
                 put_u64(&mut out, *palette);
                 put_u64(&mut out, *max_degree);
                 put_u64(&mut out, *colors_used);
-            }
-            Response::Shards {
-                shards,
-                cut_edges,
-                cut_fraction,
-                balance_factor,
-            } => {
-                out.push(0x86);
-                put_u32(&mut out, *shards);
-                put_u64(&mut out, *cut_edges);
-                put_f64(&mut out, *cut_fraction);
-                put_f64(&mut out, *balance_factor);
             }
             Response::Swapped { epoch, n, m } => {
                 out.push(0x87);
@@ -784,12 +742,6 @@ impl Response {
                 palette: r.u64()?,
                 max_degree: r.u64()?,
                 colors_used: r.u64()?,
-            },
-            0x86 => Response::Shards {
-                shards: r.u32()?,
-                cut_edges: r.u64()?,
-                cut_fraction: r.f64()?,
-                balance_factor: r.f64()?,
             },
             0x87 => Response::Swapped {
                 epoch: r.u64()?,
@@ -1013,7 +965,6 @@ mod tests {
         });
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Palette);
-        round_trip_request(Request::ShardInfo { shards: 8 });
         round_trip_request(Request::Swap {
             path: "/tmp/snap.bin".into(),
         });
@@ -1069,12 +1020,6 @@ mod tests {
             palette: 7,
             max_degree: 4,
             colors_used: 6,
-        });
-        round_trip_response(Response::Shards {
-            shards: 4,
-            cut_edges: 120,
-            cut_fraction: 0.06,
-            balance_factor: 1.02,
         });
         round_trip_response(Response::Swapped {
             epoch: 2,
@@ -1195,10 +1140,20 @@ mod tests {
     #[test]
     fn malformed_payloads_yield_typed_errors() {
         assert_eq!(Request::decode(&[]), Err(ProtocolError::EmptyFrame));
-        assert_eq!(
-            Request::decode(&[0xff]),
-            Err(ProtocolError::UnknownOpcode(0xff))
-        );
+        // 0xff was never assigned; 0x05 and 0x86 (the retired shard
+        // introspection pair) decode like any other unknown opcode.
+        for op in [0xff, 0x05] {
+            assert_eq!(
+                Request::decode(&[op]),
+                Err(ProtocolError::UnknownOpcode(op))
+            );
+        }
+        for op in [0xff, 0x86] {
+            assert_eq!(
+                Response::decode(&[op]),
+                Err(ProtocolError::UnknownOpcode(op))
+            );
+        }
         // Truncated lookup body.
         assert!(matches!(
             Request::decode(&[0x01, 1, 2]),

@@ -36,8 +36,8 @@ impl Strategy for ArbRequest {
 
     fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Request {
         use rand::Rng;
-        match rng.gen_range(0..9usize) {
-            8 => Request::Hello {
+        match rng.gen_range(0..8usize) {
+            7 => Request::Hello {
                 version: rng.gen_range(0..u32::MAX),
             },
             0 => Request::Lookup {
@@ -55,17 +55,14 @@ impl Strategy for ArbRequest {
             }
             2 => Request::Metrics,
             3 => Request::Palette,
-            4 => Request::ShardInfo {
-                shards: rng.gen_range(0..u32::MAX),
-            },
-            5 => {
+            4 => {
                 let len = rng.gen_range(0..24usize);
                 let path: String = (0..len)
                     .map(|_| char::from(rng.gen_range(32u8..127)))
                     .collect();
                 Request::Swap { path }
             }
-            6 => Request::Flush,
+            5 => Request::Flush,
             _ => Request::Shutdown,
         }
     }
@@ -86,8 +83,8 @@ impl Strategy for ArbResponse {
                 .map(|_| char::from(rng.gen_range(32u8..127)))
                 .collect()
         };
-        match rng.gen_range(0..13usize) {
-            12 => {
+        match rng.gen_range(0..12usize) {
+            11 => {
                 let graphs = (0..rng.gen_range(0..4usize))
                     .map(|id| GraphInfo {
                         id: id as u32,
@@ -161,25 +158,19 @@ impl Strategy for ArbResponse {
                 max_degree: rng.gen_range(0..u64::MAX),
                 colors_used: rng.gen_range(0..u64::MAX),
             },
-            5 => Response::Shards {
-                shards: rng.gen_range(0..u32::MAX),
-                cut_edges: rng.gen_range(0..u64::MAX),
-                cut_fraction: rng.gen_range(0.0..1.0),
-                balance_factor: rng.gen_range(0.0..64.0),
-            },
-            6 => Response::Swapped {
+            5 => Response::Swapped {
                 epoch: rng.gen_range(0..u64::MAX),
                 n: rng.gen_range(0..u64::MAX),
                 m: rng.gen_range(0..u64::MAX),
             },
-            7 => Response::SwapRejected { detail },
-            8 => Response::Flushed {
+            6 => Response::SwapRejected { detail },
+            7 => Response::Flushed {
                 epoch: rng.gen_range(0..u64::MAX),
                 version: rng.gen_range(0..u64::MAX),
                 ticks: rng.gen_range(0..u64::MAX),
             },
-            9 => Response::ShuttingDown,
-            10 => Response::ServerError { detail },
+            8 => Response::ShuttingDown,
+            9 => Response::ServerError { detail },
             _ => Response::ProtocolRejected { detail },
         }
     }

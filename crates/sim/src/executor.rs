@@ -24,11 +24,10 @@
 //! (c) folding per-chunk [`Metrics`](crate::Metrics) with the same
 //! commutative/associative operations the sequential loop applies.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// How the simulator executes the per-node work of one synchronous round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPolicy {
     /// One thread walks all nodes in index order (the reference semantics).
     #[default]
@@ -39,25 +38,6 @@ pub enum ExecutionPolicy {
     /// thread count; only wall-clock time changes.
     Parallel {
         /// Number of worker threads (clamped to at least 1).
-        threads: usize,
-    },
-    /// The partitioned execution substrate: the graph is split into `shards`
-    /// edge-balanced shards (`distshard::bfs_partition`), each round's
-    /// per-node work runs shard-locally (shards distributed over `threads`
-    /// scoped workers), and only the messages crossing a shard boundary move
-    /// between shards, coalesced into one buffer per shard pair per round by
-    /// a `distshard::ShardRouter`.
-    ///
-    /// Results are bit-identical to [`ExecutionPolicy::Sequential`] for every
-    /// shard and thread count; only wall-clock time and the delivery route
-    /// change. Non-network per-node work (the chunked compute phases driven
-    /// through [`map_node_chunks`]) treats this policy as
-    /// `Parallel { threads }`.
-    Sharded {
-        /// Number of shards the graph is partitioned into (clamped to ≥ 1).
-        shards: usize,
-        /// Number of worker threads shards are distributed over (clamped to
-        /// at least 1; clamped to `shards` at execution time).
         threads: usize,
     },
 }
@@ -82,30 +62,11 @@ impl ExecutionPolicy {
         ExecutionPolicy::parallel(host_parallelism())
     }
 
-    /// A sharded policy with the given shard and worker-thread counts
-    /// (both clamped to at least 1).
-    pub fn sharded(shards: usize, threads: usize) -> Self {
-        ExecutionPolicy::Sharded {
-            shards: shards.max(1),
-            threads: threads.max(1),
-        }
-    }
-
     /// The number of worker threads this policy uses (1 for sequential).
     pub fn threads(&self) -> usize {
         match self {
             ExecutionPolicy::Sequential => 1,
             ExecutionPolicy::Parallel { threads } => (*threads).max(1),
-            ExecutionPolicy::Sharded { threads, .. } => (*threads).max(1),
-        }
-    }
-
-    /// The number of shards this policy partitions the graph into (1 unless
-    /// [`ExecutionPolicy::Sharded`]).
-    pub fn shards(&self) -> usize {
-        match self {
-            ExecutionPolicy::Sharded { shards, .. } => (*shards).max(1),
-            _ => 1,
         }
     }
 
@@ -127,16 +88,10 @@ impl ExecutionPolicy {
 
     /// The number of workers worth spawning on this host: the policy's
     /// thread count capped at the available hardware parallelism (but never
-    /// below 1). Chunk/shard *geometry* always follows [`Self::threads`] so
+    /// below 1). Chunk *geometry* always follows [`Self::threads`] so
     /// results stay bit-identical; only the worker count adapts.
     pub fn effective_threads(&self) -> usize {
         self.threads().min(host_parallelism()).max(1)
-    }
-
-    /// Returns `true` if rounds are executed on the sharded substrate
-    /// (regardless of the worker-thread count).
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, ExecutionPolicy::Sharded { .. })
     }
 }
 
@@ -160,9 +115,6 @@ impl std::fmt::Display for ExecutionPolicy {
         match self {
             ExecutionPolicy::Sequential => write!(f, "sequential"),
             ExecutionPolicy::Parallel { threads } => write!(f, "parallel({threads})"),
-            ExecutionPolicy::Sharded { shards, threads } => {
-                write!(f, "sharded({shards}x{threads})")
-            }
         }
     }
 }
@@ -453,27 +405,6 @@ mod tests {
         assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::Sequential);
         assert_eq!(format!("{}", ExecutionPolicy::parallel(3)), "parallel(3)");
         assert_eq!(format!("{}", ExecutionPolicy::Sequential), "sequential");
-    }
-
-    #[test]
-    fn sharded_policy_accessors() {
-        let p = ExecutionPolicy::sharded(4, 2);
-        assert_eq!(p.shards(), 4);
-        assert_eq!(p.threads(), 2);
-        assert!(p.is_sharded());
-        assert!(p.is_parallel());
-        let single = ExecutionPolicy::sharded(0, 0);
-        assert_eq!(single.shards(), 1);
-        assert_eq!(single.threads(), 1);
-        assert!(single.is_sharded());
-        assert!(!single.is_parallel());
-        assert!(!ExecutionPolicy::Sequential.is_sharded());
-        assert_eq!(ExecutionPolicy::Sequential.shards(), 1);
-        assert_eq!(ExecutionPolicy::parallel(8).shards(), 1);
-        assert_eq!(
-            format!("{}", ExecutionPolicy::sharded(4, 2)),
-            "sharded(4x2)"
-        );
     }
 
     #[test]

@@ -28,14 +28,14 @@
 //!    message gets the same fate no matter which worker delivered it;
 //! 2. faults are applied to the *canonically ordered* mailboxes the delivery
 //!    paths already produce (global sender order, the bit-identity invariant
-//!    of the parallel and sharded engines), so the fault layer's input is
-//!    identical across policies by construction.
+//!    of the parallel engine), so the fault layer's input is identical
+//!    across policies by construction.
 //!
 //! Shard-link partitions sever messages between shards of a *reference
-//! partition* ([`distshard::bfs_partition`] of the run's graph at the plan's
-//! own granularity), not of the executing policy's partition — a
-//! `Sequential` run and a `Sharded { 8, .. }` run of the same plan lose
-//! exactly the same messages.
+//! partition*: a deterministic BFS-grown, edge-balanced partition of the
+//! run's graph at the plan's own granularity (every shard owns at most
+//! `⌈m/k⌉ + Δ` edges). It depends only on the graph and the plan, never on
+//! the execution policy, so every policy loses exactly the same messages.
 //!
 //! # Fault semantics
 //!
@@ -61,7 +61,10 @@
 use crate::network::Incoming;
 use crate::payload::Payload;
 use distgraph::{EdgeId, Graph, NodeId};
+use partition::{bfs_partition, Partition};
 use std::any::Any;
+
+mod partition;
 
 /// Per-message fault rates, stored in permille (0..=1000) so decisions are
 /// exact integer comparisons with no float-ordering hazards.
@@ -249,9 +252,9 @@ impl FaultPlan {
     }
 
     /// Sets the granularity of the reference partition link cuts are defined
-    /// against: the plan severs links of a deterministic
-    /// [`distshard::bfs_partition`] of the run's graph into `shards` shards,
-    /// independent of the executing policy.
+    /// against: the plan severs links of a deterministic BFS-grown,
+    /// edge-balanced partition of the run's graph into `shards` shards,
+    /// independent of the executing policy (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -441,7 +444,7 @@ struct Delayed<M> {
 pub struct FaultState {
     plan: FaultPlan,
     stats: FaultStats,
-    partition: Option<distshard::Partition>,
+    partition: Option<Partition>,
     /// The delay queue, type-erased because consecutive rounds may exchange
     /// different message types. A round whose message type differs from the
     /// queued one flushes the queue (counted as dropped): a delayed message
@@ -510,7 +513,7 @@ impl FaultState {
     ) {
         // Build the reference partition on first use if link cuts exist.
         if self.plan.has_link_cuts() && self.partition.is_none() {
-            self.partition = Some(distshard::bfs_partition(graph, self.plan.partition_shards));
+            self.partition = Some(bfs_partition(graph, self.plan.partition_shards));
         }
 
         // Reclaim the (type-erased) delay queue; a message-type switch
@@ -643,7 +646,7 @@ const REORDER_SALT: u64 = 0xc2b2_ae3d_27d4_eb4f;
 /// never diverge in loss semantics.
 fn lost_in_transit(
     plan: &FaultPlan,
-    partition: &Option<distshard::Partition>,
+    partition: &Option<Partition>,
     stats: &mut FaultStats,
     from: NodeId,
     target: NodeId,

@@ -7,10 +7,9 @@
 //! `poly(Δ)`-sized coloring (à la Linial).
 
 use distgraph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// An assignment of unique identifiers to the nodes of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
     space: u64,

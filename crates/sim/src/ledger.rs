@@ -17,7 +17,7 @@
 //!
 //! Recording is deterministic: entries depend only on the algorithm's input,
 //! never on the execution policy, so ledgers are bit-identical across
-//! `Sequential`/`Parallel`/`Sharded` runs just like mailboxes and metrics.
+//! `Sequential` and `Parallel` runs just like mailboxes and metrics.
 
 /// One recorded stage of a recursion: who charged how many rounds at which
 /// level of the recursion, and what it did to the degree.

@@ -25,16 +25,6 @@
 //! engine merges per-chunk messages and metrics deterministically and its
 //! results are bit-identical to the sequential path at any thread count.
 //!
-//! The third policy, `Sharded { shards, threads }`, runs rounds on the
-//! partitioned substrate of the [`distshard`] crate: the graph is split into
-//! edge-balanced shards by a BFS-grown edge-cut partitioner, each round's
-//! per-node work runs shard-locally, and only the messages crossing a shard
-//! boundary move between shards — coalesced into one buffer per shard pair
-//! per round by a `ShardRouter`. The determinism contract is unchanged
-//! (bit-identical to `Sequential` at every shard/thread count); the
-//! cross-shard traffic is observable through [`Network::shard_state`] and
-//! [`ProgramRun::shard`].
-//!
 //! Both layers can additionally run under a seed-driven **fault adversary**
 //! ([`faults`]): message drops/duplicates/delays with per-edge rates, node
 //! crash/restart windows, and shard-link partitions that heal, plus the
@@ -78,9 +68,8 @@ pub use identifiers::IdAssignment;
 pub use ledger::{LedgerEntry, LedgerSummaryRow, RoundLedger};
 pub use metrics::Metrics;
 pub use model::Model;
-pub use network::{Incoming, Mailboxes, Network, ShardState};
+pub use network::{Incoming, Mailboxes, Network};
 pub use payload::{bits_for, Payload};
 pub use program::{
-    run_program, run_program_under_faults, run_program_with, NodeCtx, NodeProgram, ProgramRun,
-    ShardRunStats, Step,
+    run_program, run_program_under_faults, run_program_with, NodeCtx, NodeProgram, ProgramRun, Step,
 };

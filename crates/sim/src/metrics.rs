@@ -4,10 +4,8 @@
 //! communication rounds (and, in the CONGEST model, the size of the messages).
 //! [`Metrics`] is the single place where those quantities are accumulated.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated cost of a (partial) distributed execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of synchronous communication rounds.
     pub rounds: u64,
@@ -49,7 +47,7 @@ impl Metrics {
 
     /// Folds another metrics block's per-message costs (messages, bits,
     /// size maximum, violations) into this one **without touching rounds**:
-    /// the merge the round engines apply to per-chunk / per-shard workers of
+    /// the merge the round engines apply to per-chunk workers of
     /// a single round, whose round was already charged once by the caller.
     /// Sums and maxima only, so the fold is order-independent — the root of
     /// the bit-identity guarantee for metrics.

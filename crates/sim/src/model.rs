@@ -1,9 +1,7 @@
 //! The LOCAL and CONGEST models (Section 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// The communication model under which an execution is accounted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Model {
     /// The LOCAL model: unbounded message size and local computation.
     #[default]

@@ -46,14 +46,13 @@
 //! the mailbox offsets are the graph's CSR offsets, with no count or
 //! permute stage.
 
-use crate::executor::{map_chunks, map_chunks_with, map_node_chunks, Chunks, ExecutionPolicy};
+use crate::executor::{map_chunks, map_chunks_with, Chunks, ExecutionPolicy};
 use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::ledger::{LedgerEntry, RoundLedger};
 use crate::metrics::Metrics;
 use crate::model::Model;
 use crate::payload::Payload;
 use distgraph::{EdgeId, Graph, NodeId};
-use distshard::{bfs_partition, PartitionReport, RouterStats, ShardRouter, ShardedGraph};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
@@ -133,63 +132,19 @@ impl<M> Mailboxes<M> {
     }
 }
 
-/// The shard-aware delivery state of a [`Network`] running under
-/// [`ExecutionPolicy::Sharded`]: the partitioned view of the graph plus the
-/// cumulative cross-shard traffic of every sharded round executed so far.
-///
-/// Built lazily on the first sharded round (the partition is a
-/// [`bfs_partition`] of the network's graph) and rebuilt if the policy's
-/// shard count changes.
-#[derive(Debug)]
-pub struct ShardState {
-    sharded: ShardedGraph,
-    report: PartitionReport,
-    stats: RouterStats,
-}
-
-impl ShardState {
-    fn build(graph: &Graph, shards: usize) -> Self {
-        let partition = bfs_partition(graph, shards);
-        let report = partition.report(graph);
-        ShardState {
-            sharded: ShardedGraph::new(graph, partition),
-            report,
-            stats: RouterStats::default(),
-        }
-    }
-
-    /// The quality report of the partition the delivery path runs on.
-    pub fn report(&self) -> &PartitionReport {
-        &self.report
-    }
-
-    /// Cumulative cross-shard traffic over all sharded rounds so far.
-    pub fn router_stats(&self) -> RouterStats {
-        self.stats
-    }
-
-    /// The partitioned view of the graph.
-    pub fn sharded_graph(&self) -> &ShardedGraph {
-        &self.sharded
-    }
-}
-
 /// The reusable per-round delivery scratch owned by a [`Network`].
 ///
 /// `exchange*`/`broadcast` are generic over the message type but the network
-/// is not, so the per-worker arena buffers and pooled routers are stored
-/// type-erased, keyed by the message's `TypeId` (the same pattern the fault
-/// layer uses for its delay queues). The untyped count/slot buffers are
-/// shared across all message types. Everything here is capacity that
+/// is not, so the per-worker arena buffers are stored type-erased, keyed by
+/// the message's `TypeId` (the same pattern the fault layer uses for its
+/// delay queues). The untyped count/slot buffers are shared across all
+/// message types. Everything here is capacity that
 /// survives between rounds; none of it affects delivery semantics.
 #[derive(Default)]
 struct RoundScratch {
     /// Per message type: the per-worker arena row buffers
     /// (`Vec<Vec<Targeted<M>>>`).
     arenas: HashMap<TypeId, Box<dyn Any + Send>>,
-    /// Per message type: the pooled cross-shard router
-    /// (`ShardRouter<Targeted<M>>`).
-    routers: HashMap<TypeId, Box<dyn Any + Send>>,
     /// Per-node message counts, reused as delivery cursors.
     counts: Vec<usize>,
     /// Row-to-CSR-slot permutation buffer.
@@ -218,29 +173,12 @@ impl RoundScratch {
     fn put_arena<M: Payload + Send>(&mut self, arena: Vec<Vec<Targeted<M>>>) {
         self.arenas.insert(TypeId::of::<M>(), Box::new(arena));
     }
-
-    /// Takes (or creates) the pooled cross-shard router for message type `M`
-    /// (recreated when the shard count changes).
-    fn take_router<M: Payload + Send>(&mut self, shards: usize) -> ShardRouter<Targeted<M>> {
-        self.routers
-            .remove(&TypeId::of::<M>())
-            .and_then(|boxed| boxed.downcast::<ShardRouter<Targeted<M>>>().ok())
-            .map(|boxed| *boxed)
-            .filter(|router| router.shards() == shards)
-            .unwrap_or_else(|| ShardRouter::new(shards))
-    }
-
-    /// Returns a drained router to the pool for the next round.
-    fn put_router<M: Payload + Send>(&mut self, router: ShardRouter<Targeted<M>>) {
-        self.routers.insert(TypeId::of::<M>(), Box::new(router));
-    }
 }
 
 impl std::fmt::Debug for RoundScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundScratch")
             .field("arena_types", &self.arenas.len())
-            .field("router_types", &self.routers.len())
             .field("counts", &self.counts.len())
             .field("slots", &self.slots.len())
             .finish()
@@ -297,7 +235,6 @@ pub struct Network<'g> {
     model: Model,
     policy: ExecutionPolicy,
     metrics: Metrics,
-    shard_state: Option<ShardState>,
     faults: Option<FaultState>,
     ledger: RoundLedger,
     scratch: RoundScratch,
@@ -318,7 +255,6 @@ impl<'g> Network<'g> {
             model,
             policy,
             metrics: Metrics::new(),
-            shard_state: None,
             faults: None,
             ledger: RoundLedger::new(),
             scratch: RoundScratch::default(),
@@ -452,9 +388,6 @@ impl<'g> Network<'g> {
     where
         M: Payload + Send,
     {
-        if self.policy.is_sharded() {
-            return self.exchange_sharded(outgoing);
-        }
         // Sender chunks are degree-weighted (a pure function of the graph
         // and the policy's thread count, never of the workers actually
         // spawned), so a power-law hub does not serialize the round on one
@@ -571,186 +504,13 @@ impl<'g> Network<'g> {
         Mailboxes { offsets, entries }
     }
 
-    /// The sharded delivery path of [`Network::exchange_sync`].
-    ///
-    /// Per shard (shards distributed over the policy's worker threads), the
-    /// send closures of the shard's nodes are evaluated in ascending node
-    /// order; messages staying inside the shard are delivered directly, the
-    /// rest travel through a pooled [`ShardRouter`] — one coalesced buffer
-    /// per shard pair, drained in place so steady-state rounds reuse its
-    /// capacity. The gathered rows are then normalized to target-major
-    /// ascending sender order, which is exactly the order the sequential
-    /// loop produces (in a simple graph a sender contributes at most one
-    /// message per target per round), so mailboxes are bit-identical to
-    /// [`ExecutionPolicy::Sequential`].
-    fn exchange_sharded<M>(
-        &mut self,
-        outgoing: impl Fn(NodeId) -> Vec<(EdgeId, M)> + Sync,
-    ) -> Mailboxes<M>
-    where
-        M: Payload + Send,
-    {
-        let shards = self.policy.shards();
-        // Worker count capped at the host's hardware slots; shard geometry is
-        // unchanged, so delivery stays bit-identical.
-        let threads = self.policy.effective_threads().min(shards);
-        self.metrics.rounds += 1;
-        let limit = self.model.bandwidth_limit();
-        let graph = self.graph;
-        if self
-            .shard_state
-            .as_ref()
-            .is_none_or(|s| s.sharded.shards() != shards)
-        {
-            self.shard_state = Some(ShardState::build(graph, shards));
-        }
-
-        /// Per-shard result of the send phase: shard-internal deliveries plus
-        /// cross-shard messages tagged with their destination shard and
-        /// payload bits.
-        struct ShardOut<M> {
-            local: Vec<Targeted<M>>,
-            cross: Vec<(usize, u64, Targeted<M>)>,
-            metrics: Metrics,
-        }
-
-        let outs: Vec<ShardOut<M>> = {
-            let sharded = &self.shard_state.as_ref().expect("just built").sharded;
-            // Phase A (parallel over shards): evaluate the send closures of
-            // each shard's nodes, validate, account metrics, and split
-            // deliveries into shard-internal and cross-shard.
-            let per_shard = |s: usize| -> ShardOut<M> {
-                let mut metrics = Metrics::new();
-                let mut local = Vec::new();
-                let mut cross = Vec::new();
-                for &v in sharded.nodes(s) {
-                    let sends = outgoing(v);
-                    let mut used: Vec<EdgeId> = Vec::with_capacity(sends.len());
-                    for (edge, msg) in sends {
-                        assert!(
-                            graph.is_endpoint(edge, v),
-                            "{v} attempted to send over non-incident edge {edge}"
-                        );
-                        assert!(
-                            !used.contains(&edge),
-                            "{v} sent two messages over {edge} in a single round"
-                        );
-                        used.push(edge);
-                        let bits = msg.encoded_bits() as u64;
-                        metrics.record_message(bits, limit);
-                        let target = graph.other_endpoint(edge, v);
-                        let dst = sharded.partition().shard_of(target);
-                        let item = (target.index(), Incoming { from: v, edge, msg });
-                        if dst == s {
-                            local.push(item);
-                        } else {
-                            cross.push((dst, bits, item));
-                        }
-                    }
-                }
-                ShardOut {
-                    local,
-                    cross,
-                    metrics,
-                }
-            };
-            map_node_chunks(shards, ExecutionPolicy::parallel(threads), |shard_range| {
-                shard_range.map(per_shard).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-
-        // Merge metrics in shard order (order-independent, see
-        // `Metrics::fold_costs`; the round itself was charged above).
-        for out in &outs {
-            self.metrics.fold_costs(&out.metrics);
-        }
-
-        // Phase B: gather shard-internal messages and the router's coalesced
-        // cross-shard buffers (pooled per message type, drained in place)
-        // into one flat row list, then normalize to target-major global
-        // sender order with a single unstable sort — valid because senders
-        // are unique per inbox (at most one edge, hence one message, per
-        // sender/target pair in a simple graph).
-        let total: usize = outs
-            .iter()
-            .map(|out| out.local.len() + out.cross.len())
-            .sum();
-        let mut router = self.scratch.take_router::<M>(shards);
-        let mut flat: Vec<Targeted<M>> = Vec::with_capacity(total);
-        for (src, out) in outs.into_iter().enumerate() {
-            flat.extend(out.local);
-            for (dst, bits, item) in out.cross {
-                router.push(src, dst, item, bits);
-            }
-        }
-        let round_stats = router.drain_round_with(|_dst, _src, buffer| {
-            flat.append(buffer);
-        });
-        self.scratch.put_router(router);
-        self.shard_state
-            .as_mut()
-            .expect("built above")
-            .stats
-            .absorb(&round_stats);
-        flat.sort_unstable_by_key(|&(target, ref incoming)| (target, incoming.from));
-        self.seal_sorted(flat)
-    }
-
-    /// Seals a round whose rows are already in target-major global sender
-    /// order (the sharded path after its normalization sort): counts per
-    /// target, prefix-sums the offsets and moves the payloads straight into
-    /// the flat entry array.
-    fn seal_sorted<M: Payload + Send>(&mut self, flat: Vec<Targeted<M>>) -> Mailboxes<M> {
-        let n = self.graph.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        {
-            let counts = &mut self.scratch.counts;
-            counts.clear();
-            counts.resize(n, 0);
-            for &(target, _) in &flat {
-                counts[target] += 1;
-            }
-            let mut acc = 0usize;
-            offsets.push(0);
-            for &count in counts.iter() {
-                acc += count;
-                offsets.push(acc);
-            }
-        }
-        if self.faults.is_some() {
-            let mut boxes: Vec<Vec<Incoming<M>>> = self
-                .scratch
-                .counts
-                .iter()
-                .map(|&count| Vec::with_capacity(count))
-                .collect();
-            for (target, incoming) in flat {
-                boxes[target].push(incoming);
-            }
-            self.apply_faults(&mut boxes);
-            return Mailboxes::from_boxes(boxes);
-        }
-        let entries: Vec<Incoming<M>> = flat.into_iter().map(|(_, incoming)| incoming).collect();
-        Mailboxes { offsets, entries }
-    }
-
-    /// The shard-aware delivery state, if any sharded round ran on this
-    /// network: partition quality report plus cumulative cross-shard traffic.
-    /// `None` until the first round under [`ExecutionPolicy::Sharded`].
-    pub fn shard_state(&self) -> Option<&ShardState> {
-        self.shard_state.as_ref()
-    }
-
     /// One round in which every node sends the same message to all neighbors.
     /// Honors the network's execution policy (see [`Network::exchange_sync`]).
     ///
-    /// Under the sequential and parallel policies the round is a pull-based
-    /// gather: `msg_of` is evaluated once per node (over the policy's
-    /// degree-weighted chunks), and node `v`'s inbox is its adjacency slice
-    /// read in order, one clone of each neighbor's message per entry. The
+    /// The round is a pull-based gather: `msg_of` is evaluated once per node
+    /// (over the policy's degree-weighted chunks), and node `v`'s inbox is its
+    /// adjacency slice read in order, one clone of each neighbor's message
+    /// per entry. The
     /// graph's adjacency slices are sorted by neighbor id and a simple graph
     /// has one edge per neighbor, so that slice order is ascending sender
     /// order — exactly the order the push-based [`Network::exchange_sync`]
@@ -758,23 +518,12 @@ impl<'g> Network<'g> {
     /// offsets. Metrics record `deg(v)` messages of
     /// `msg_of(v).encoded_bits()` bits for every node `v`, as the equivalent
     /// push round does. With a fault plan installed the gathered inboxes
-    /// pass through the same adversary; sharded policies route the round
-    /// through the shard router so its cross-shard statistics accrue.
+    /// pass through the same adversary.
     pub fn broadcast<M>(&mut self, msg_of: impl Fn(NodeId) -> M + Sync) -> Mailboxes<M>
     where
         M: Payload + Send,
     {
         let graph = self.graph;
-        if self.policy.is_sharded() {
-            return self.exchange_sharded(|v| {
-                let msg = msg_of(v);
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|nb| (nb.edge, msg.clone()))
-                    .collect()
-            });
-        }
         self.metrics.rounds += 1;
         let limit = self.model.bandwidth_limit();
         let chunks = Chunks::degree_weighted(graph.n(), graph.csr_offsets(), self.policy.threads());

@@ -70,17 +70,6 @@ pub trait NodeProgram {
     ) -> Step<Self::Msg, Self::Output>;
 }
 
-/// Shard-level observability of a program run executed under
-/// [`ExecutionPolicy::Sharded`]: the quality of the partition the run used
-/// and the cross-shard traffic its rounds generated.
-#[derive(Debug, Clone)]
-pub struct ShardRunStats {
-    /// Quality report of the BFS partition (cut fraction, balance factor).
-    pub report: distshard::PartitionReport,
-    /// Cumulative cross-shard traffic over all executed rounds.
-    pub router: distshard::RouterStats,
-}
-
 /// The result of running a [`NodeProgram`] on every node of a graph.
 #[derive(Debug, Clone)]
 pub struct ProgramRun<O> {
@@ -88,9 +77,6 @@ pub struct ProgramRun<O> {
     pub outputs: Vec<Option<O>>,
     /// Cost of the execution.
     pub metrics: Metrics,
-    /// Partition quality and cross-shard traffic when the run executed under
-    /// [`ExecutionPolicy::Sharded`]; `None` for the other policies.
-    pub shard: Option<ShardRunStats>,
     /// What the fault adversary did when the run executed under a
     /// [`FaultPlan`] (see [`run_program_under_faults`]); `None` for
     /// fault-free runs.
@@ -245,14 +231,13 @@ where
     ProgramRun {
         outputs,
         metrics,
-        shard: None,
         faults: None,
         ledger: program_ledger(graph, &metrics),
     }
 }
 
 /// Filters the round's pending messages through the fault adversary (if
-/// any) and returns the round's crash mask. Shared by all three execution
+/// any) and returns the round's crash mask. Shared by both execution
 /// paths, *after* each has produced the canonical sequential delivery
 /// order, so the adversary's decisions are identical across policies.
 fn apply_round_faults<M: Payload + Send>(
@@ -295,14 +280,6 @@ fn note_crashed_steps<O>(
 /// (i.e. global node order). The produced outputs, pending messages and
 /// [`Metrics`] are therefore **byte-identical** to the sequential execution
 /// at every thread count; only wall-clock time changes.
-///
-/// Under `Sharded { shards, threads }` the programs run shard-locally on a
-/// [`distshard::bfs_partition`] of the graph (shards distributed over the
-/// worker threads), with only boundary-crossing messages moving between
-/// shards through a batched [`distshard::ShardRouter`]; the returned
-/// [`ProgramRun::shard`] carries the partition report and the cross-shard
-/// traffic. Outputs and metrics remain byte-identical to the sequential
-/// execution at every shard/thread count.
 pub fn run_program_with<P, F>(
     graph: &Graph,
     ids: &IdAssignment,
@@ -376,9 +353,6 @@ where
     P::Output: Send,
     F: FnMut(NodeId) -> P,
 {
-    if policy.is_sharded() {
-        return run_program_sharded(graph, ids, model, policy, max_rounds, make_program, faults);
-    }
     // `spawning_pays_off` also routes oversubscribed policies (more threads
     // than the host has hardware slots for) to the inline runner, whose
     // output is bit-identical.
@@ -536,298 +510,6 @@ where
     ProgramRun {
         outputs,
         metrics,
-        shard: None,
-        faults: None,
-        ledger: program_ledger(graph, &metrics),
-    }
-}
-
-/// The sharded execution path of [`run_program_with`].
-///
-/// Programs are stored shard-major (the nodes of shard 0 in ascending order,
-/// then shard 1, …) so that each shard's programs form one contiguous
-/// mutable slice a worker can own. Every round, each shard's still-running
-/// programs step against a read-only snapshot of the round's inboxes;
-/// shard-internal messages are delivered directly, boundary-crossing
-/// messages travel through a long-lived [`distshard::ShardRouter`] (one
-/// coalesced buffer per shard pair, drained in place so steady-state rounds
-/// reuse its capacity). Each inbox is then normalized to
-/// ascending sender order — exactly the sequential delivery order, since in
-/// a simple graph a sender contributes at most one message per target per
-/// round — which makes outputs, pending messages and metrics byte-identical
-/// to [`run_program`].
-fn run_program_sharded<P, F>(
-    graph: &Graph,
-    ids: &IdAssignment,
-    model: Model,
-    policy: ExecutionPolicy,
-    max_rounds: u64,
-    mut make_program: F,
-    mut faults: Option<&mut FaultState>,
-) -> ProgramRun<P::Output>
-where
-    P: NodeProgram + Send,
-    P::Msg: Send + Sync,
-    P::Output: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let n = graph.n();
-    let max_degree = graph.max_degree();
-    let mut metrics = Metrics::new();
-    let limit = model.bandwidth_limit();
-    let shards = policy.shards();
-    // Cap the workers at the host's hardware slots: shard *assignment* stays
-    // a function of `policy.threads()` alone, so results are bit-identical.
-    let threads = policy.effective_threads().min(shards);
-
-    let partition = distshard::bfs_partition(graph, shards);
-    let report = partition.report(graph);
-    let sharded = distshard::ShardedGraph::new(graph, partition);
-    let mut router_stats = distshard::RouterStats::default();
-
-    let contexts: Vec<NodeCtx> = graph
-        .nodes()
-        .map(|v| NodeCtx {
-            node: v,
-            id: ids.id(v),
-            degree: graph.degree(v),
-            ports: graph.neighbors(v).to_vec(),
-            n,
-            max_degree,
-        })
-        .collect();
-
-    // Programs are *created* in node order (`make_program` may be stateful,
-    // and the sequential runner calls it in node order), then rearranged into
-    // shard-major storage.
-    let mut by_node: Vec<Option<P>> = graph.nodes().map(|v| Some(make_program(v))).collect();
-    let order: Vec<NodeId> = (0..shards)
-        .flat_map(|s| sharded.nodes(s).iter().copied())
-        .collect();
-    let mut programs: Vec<P> = order
-        .iter()
-        .map(|&v| by_node[v.index()].take().expect("each node appears once"))
-        .collect();
-    drop(by_node);
-    let mut outputs_sm: Vec<Option<P::Output>> = Vec::with_capacity(n);
-    outputs_sm.resize_with(n, || None);
-
-    // Round 0: init (sequential in node order, identical to `run_program`).
-    let mut pending: Vec<Vec<Incoming<P::Msg>>> = vec![Vec::new(); n];
-    {
-        // Shard-major position of every node, to address `programs` during
-        // the node-order init pass.
-        let mut pos_of = vec![0usize; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos_of[v.index()] = i;
-        }
-        for v in graph.nodes() {
-            let sends = programs[pos_of[v.index()]].init(&contexts[v.index()]);
-            for (edge, msg) in sends {
-                assert!(
-                    graph.is_endpoint(edge, v),
-                    "{v} sent over non-incident edge {edge}"
-                );
-                metrics.record_message(msg.encoded_bits() as u64, limit);
-                let target = graph.other_endpoint(edge, v);
-                pending[target.index()].push(Incoming { from: v, edge, msg });
-            }
-        }
-    }
-
-    /// One undelivered message: destination node index plus inbox entry.
-    type Targeted<M> = (usize, Incoming<M>);
-
-    /// Per-shard result of one sharded round.
-    struct ShardRoundOut<M> {
-        local: Vec<Targeted<M>>,
-        cross: Vec<(usize, u64, Targeted<M>)>,
-        metrics: Metrics,
-    }
-
-    /// One shard's work unit for a round: its index plus mutable views of
-    /// its programs and outputs.
-    type ShardWork<'a, P, O> = (usize, &'a mut [P], &'a mut [Option<O>]);
-
-    // The inbox double buffer (see `run_program_inner`) and the long-lived
-    // cross-shard router, drained in place each round so its per-pair
-    // buffers retain their capacity across rounds.
-    let mut inboxes: Vec<Vec<Incoming<P::Msg>>> = vec![Vec::new(); n];
-    let mut router: distshard::ShardRouter<Targeted<P::Msg>> = distshard::ShardRouter::new(shards);
-    for _round in 0..max_rounds {
-        if outputs_sm.iter().all(Option::is_some) {
-            break;
-        }
-        metrics.rounds += 1;
-        let crash_mask = apply_round_faults(&mut faults, graph, metrics.rounds, &mut pending);
-        std::mem::swap(&mut pending, &mut inboxes);
-        for inbox in pending.iter_mut() {
-            inbox.clear();
-        }
-
-        // Split programs and outputs into one contiguous slice per shard.
-        let mut prog_slices: Vec<&mut [P]> = Vec::with_capacity(shards);
-        let mut out_slices: Vec<&mut [Option<P::Output>]> = Vec::with_capacity(shards);
-        let mut prog_rest: &mut [P] = &mut programs;
-        let mut out_rest: &mut [Option<P::Output>] = &mut outputs_sm;
-        for s in 0..shards {
-            let len = sharded.nodes(s).len();
-            let (ph, pt) = prog_rest.split_at_mut(len);
-            prog_slices.push(ph);
-            prog_rest = pt;
-            let (oh, ot) = out_rest.split_at_mut(len);
-            out_slices.push(oh);
-            out_rest = ot;
-        }
-
-        // One worker per chunk of shards; each worker steps its shards'
-        // programs in shard order, nodes in ascending order within a shard.
-        let chunks = crate::executor::Chunks::new(shards, threads);
-        let mut shard_work: Vec<Vec<ShardWork<'_, P, P::Output>>> =
-            Vec::with_capacity(chunks.count());
-        shard_work.resize_with(chunks.count(), Vec::new);
-        for (s, (progs, outs)) in prog_slices.into_iter().zip(out_slices).enumerate() {
-            shard_work[chunks.chunk_of(s)].push((s, progs, outs));
-        }
-
-        let crash_mask_ref = crash_mask.as_deref();
-        let run_shard = |s: usize,
-                         progs: &mut [P],
-                         outs: &mut [Option<P::Output>],
-                         inboxes: &[Vec<Incoming<P::Msg>>]|
-         -> ShardRoundOut<P::Msg> {
-            let mut chunk_metrics = Metrics::new();
-            let mut local = Vec::new();
-            let mut cross = Vec::new();
-            for ((&v, program), output) in sharded
-                .nodes(s)
-                .iter()
-                .zip(progs.iter_mut())
-                .zip(outs.iter_mut())
-            {
-                if output.is_some() {
-                    continue;
-                }
-                if crash_mask_ref.is_some_and(|mask| mask[v.index()]) {
-                    continue;
-                }
-                match program.round(&contexts[v.index()], &inboxes[v.index()]) {
-                    Step::Halt(out) => *output = Some(out),
-                    Step::Send(sends) => {
-                        for (edge, msg) in sends {
-                            assert!(
-                                graph.is_endpoint(edge, v),
-                                "{v} sent over non-incident edge {edge}"
-                            );
-                            let bits = msg.encoded_bits() as u64;
-                            chunk_metrics.record_message(bits, limit);
-                            let target = graph.other_endpoint(edge, v);
-                            let dst = sharded.partition().shard_of(target);
-                            let item = (target.index(), Incoming { from: v, edge, msg });
-                            if dst == s {
-                                local.push(item);
-                            } else {
-                                cross.push((dst, bits, item));
-                            }
-                        }
-                    }
-                }
-            }
-            ShardRoundOut {
-                local,
-                cross,
-                metrics: chunk_metrics,
-            }
-        };
-
-        let outs: Vec<ShardRoundOut<P::Msg>> = if threads <= 1 {
-            let inboxes = &inboxes;
-            shard_work
-                .into_iter()
-                .flatten()
-                .map(|(s, progs, outs)| run_shard(s, progs, outs, inboxes))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let run_shard = &run_shard;
-                let inboxes = &inboxes;
-                let handles: Vec<_> = shard_work
-                    .into_iter()
-                    .map(|work| {
-                        scope.spawn(move || {
-                            work.into_iter()
-                                .map(|(s, progs, outs)| run_shard(s, progs, outs, inboxes))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(out) => out,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-        };
-
-        // Merge metrics in shard order (order-independent, see
-        // `Metrics::fold_costs`; the round itself was charged above).
-        for out in &outs {
-            metrics.fold_costs(&out.metrics);
-        }
-
-        // Deliver: local messages directly, boundary messages through the
-        // pooled router's coalesced per-pair buffers (drained in place);
-        // then normalize every inbox to global sender order.
-        for (src, out) in outs.into_iter().enumerate() {
-            for (target, incoming) in out.local {
-                pending[target].push(incoming);
-            }
-            for (dst, bits, item) in out.cross {
-                router.push(src, dst, item, bits);
-            }
-        }
-        let round_stats = router.drain_round_with(|_dst, _src, buffer| {
-            for (target, incoming) in buffer.drain(..) {
-                pending[target].push(incoming);
-            }
-        });
-        router_stats.absorb(&round_stats);
-        // Stable sort: unlike `Network::exchange_sync`, the strict layer
-        // does not reject a program that sends twice over the same edge in
-        // one round, so a target may hold several entries from one sender.
-        // Same-sender entries arrive in send order (they share a
-        // local/router bucket), and a stable sort preserves exactly that —
-        // the sequential delivery order.
-        for inbox in &mut pending {
-            inbox.sort_by_key(|incoming| incoming.from);
-        }
-        // Crashed-step accounting against the shard-major output layout.
-        if let (Some(state), Some(mask)) = (faults.as_deref_mut(), &crash_mask) {
-            let suppressed = order
-                .iter()
-                .zip(&outputs_sm)
-                .filter(|(v, output)| mask[v.index()] && output.is_none())
-                .count() as u64;
-            state.note_crashed_steps(suppressed);
-        }
-    }
-
-    // Un-permute the shard-major outputs back into node order.
-    let mut outputs: Vec<Option<P::Output>> = Vec::with_capacity(n);
-    outputs.resize_with(n, || None);
-    for (i, &v) in order.iter().enumerate() {
-        outputs[v.index()] = outputs_sm[i].take();
-    }
-
-    ProgramRun {
-        outputs,
-        metrics,
-        shard: Some(ShardRunStats {
-            report,
-            router: router_stats,
-        }),
         faults: None,
         ledger: program_ledger(graph, &metrics),
     }

@@ -9,9 +9,9 @@
 //!    exactly (no gaps, no overlaps, no empty chunks), and `chunk_of` is the
 //!    exact inverse of `range`.
 //! 2. **Bit-identity** — on skewed power-law graphs (the workload the
-//!    degree-weighted cut exists for) `Parallel { threads }` and
-//!    `Sharded { shards, threads }` produce mailboxes, metrics and program
-//!    outputs bit-identical to `Sequential`, chunk geometry notwithstanding.
+//!    degree-weighted cut exists for) `Parallel { threads }` produces
+//!    mailboxes, metrics and program outputs bit-identical to `Sequential`,
+//!    chunk geometry notwithstanding.
 
 use distgraph::{generators, EdgeId, Graph, NodeId};
 use distsim::{
@@ -116,18 +116,10 @@ fn arb_power_law() -> impl Strategy<Value = Graph> {
     })
 }
 
-const POLICY_MATRIX: [ExecutionPolicy; 5] = [
+const POLICY_MATRIX: [ExecutionPolicy; 3] = [
     ExecutionPolicy::Parallel { threads: 2 },
     ExecutionPolicy::Parallel { threads: 3 },
     ExecutionPolicy::Parallel { threads: 8 },
-    ExecutionPolicy::Sharded {
-        shards: 2,
-        threads: 2,
-    },
-    ExecutionPolicy::Sharded {
-        shards: 3,
-        threads: 8,
-    },
 ];
 
 /// Flooding with a staggered halting schedule (stresses halted-node and
@@ -163,7 +155,7 @@ proptest! {
 
     /// Broadcast and a skewed-payload `exchange_sync` on power-law graphs:
     /// mailboxes and metrics are bit-identical to sequential under every
-    /// parallel and sharded policy.
+    /// parallel policy.
     #[test]
     fn power_law_exchanges_are_bit_identical((g, seed) in (arb_power_law(), 0u64..1000)) {
         let ids = IdAssignment::scattered(g.n(), seed);
@@ -191,7 +183,7 @@ proptest! {
     }
 
     /// The strict layer on power-law graphs: program outputs and metrics are
-    /// bit-identical to sequential under every parallel and sharded policy.
+    /// bit-identical to sequential under every parallel policy.
     #[test]
     fn power_law_programs_are_bit_identical((g, seed) in (arb_power_law(), 0u64..1000)) {
         let ids = IdAssignment::scattered(g.n(), seed);

@@ -2,7 +2,7 @@
 //!
 //! The contract of `distsim::faults`: same seed + same [`FaultPlan`] ⇒
 //! **bit-identical** mailboxes, outputs, metrics and fault stats under every
-//! execution policy — `Sequential`, `Parallel{2,8}`, `Sharded{2,4,8}`.
+//! execution policy — `Sequential`, `Parallel{2,8}`.
 //! This suite pins that contract from raw `Network` exchanges up to full
 //! strict-layer program runs, plus the individual adversary semantics
 //! (drops, duplicates, delays, crash/restart windows, link partitions that
@@ -21,9 +21,6 @@ fn policy_matrix() -> Vec<ExecutionPolicy> {
         ExecutionPolicy::Sequential,
         ExecutionPolicy::parallel(2),
         ExecutionPolicy::parallel(8),
-        ExecutionPolicy::sharded(2, 2),
-        ExecutionPolicy::sharded(4, 2),
-        ExecutionPolicy::sharded(8, 3),
     ]
 }
 

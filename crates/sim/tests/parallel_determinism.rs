@@ -72,8 +72,7 @@ proptest! {
             g.neighbors(v).iter().map(|nb| (nb.edge, msg_of(v))).collect()
         });
         let policies = std::iter::once(ExecutionPolicy::Sequential)
-            .chain(THREAD_MATRIX.map(ExecutionPolicy::parallel))
-            .chain([ExecutionPolicy::sharded(4, 2)]);
+            .chain(THREAD_MATRIX.map(ExecutionPolicy::parallel));
         for policy in policies {
             let mut net = Network::with_policy(&g, model, policy);
             let mail = net.broadcast(msg_of);

@@ -23,10 +23,9 @@
 //! | `STBL` | flag 1   | per-edge stable ids, `m × u32`                        |
 //! | `PERM` | flag 2   | node permutation `old_of_new`, `n × u32`              |
 //!
-//! Everything is hand-rolled over `std` (the workspace `serde` is a
-//! marker-only stand-in, see `crates/compat/README.md`), and every section
-//! carries a word-chunked FNV-1a 64 checksum (`checksum64`) so corruption
-//! is detected before any payload is interpreted.
+//! Everything is hand-rolled over `std`, and every section carries a
+//! word-chunked FNV-1a 64 checksum (`checksum64`) so corruption is detected
+//! before any payload is interpreted.
 
 use crate::error::SnapshotError;
 use distgraph::{DynamicGraph, EdgeColoring, Graph, GraphError, NodePermutation};

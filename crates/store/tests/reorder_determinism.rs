@@ -10,12 +10,8 @@ use diststore::{LoadedSnapshot, Snapshot, SnapshotSource};
 use edgecolor::{color_edges_local, ColoringParams, ExecutionPolicy};
 use edgecolor_verify::{check_complete, check_palette_size, check_proper_edge_coloring};
 
-fn policies() -> [ExecutionPolicy; 3] {
-    [
-        ExecutionPolicy::Sequential,
-        ExecutionPolicy::parallel(4),
-        ExecutionPolicy::sharded(4, 2),
-    ]
+fn policies() -> [ExecutionPolicy; 2] {
+    [ExecutionPolicy::Sequential, ExecutionPolicy::parallel(4)]
 }
 
 fn assert_reordered_coloring_contract(g: &Graph, strategy: ReorderStrategy) {

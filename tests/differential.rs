@@ -13,10 +13,9 @@
 //!    from-scratch `color_edges_local` run on the final graph must pass the
 //!    identical checker suite (properness, completeness, palette budget),
 //!    and repairs must be **bit-identical** across
-//!    `ExecutionPolicy::Sequential`, `Parallel{2,8}` and `Sharded{2,4,8}`.
+//!    `ExecutionPolicy::Sequential` and `Parallel{2,8}`.
 //! 3. On the seeded generator matrix, full colorings produced under
-//!    `Sharded{2,4,8}` (the partitioned execution substrate of
-//!    `crates/shard`) must be bit-identical to the sequential reference.
+//!    `Parallel{2,8}` must be bit-identical to the sequential reference.
 
 use distgraph::generators::{self, Family, UpdateScenario, UpdateStream};
 use distgraph::{DynamicGraph, Graph};
@@ -80,26 +79,25 @@ fn all_implementations_pass_the_same_checkers() {
 }
 
 /// Full colorings on the seeded generator matrix are bit-identical between
-/// the sequential engine and the sharded substrate at 2, 4 and 8 shards —
-/// the differential guarantee the SHARD bench experiment relies on.
+/// the sequential engine and the parallel engine at 2 and 8 threads.
 #[test]
-fn sharded_colorings_match_sequential_on_the_matrix() {
+fn parallel_colorings_match_sequential_on_the_matrix() {
     let params = ColoringParams::new(0.5);
     for (name, g) in matrix() {
         let ids = IdAssignment::scattered(g.n(), 5);
         let reference = color_edges_local(&g, &ids, &params)
             .unwrap_or_else(|e| panic!("{name}: LOCAL coloring failed: {e}"));
-        for shards in [2usize, 4, 8] {
-            let sharded = params.with_policy(ExecutionPolicy::sharded(shards, 2));
-            let outcome = color_edges_local(&g, &ids, &sharded)
-                .unwrap_or_else(|e| panic!("{name}: sharded({shards}) failed: {e}"));
+        for threads in [2usize, 8] {
+            let parallel = params.with_policy(ExecutionPolicy::parallel(threads));
+            let outcome = color_edges_local(&g, &ids, &parallel)
+                .unwrap_or_else(|e| panic!("{name}: parallel({threads}) failed: {e}"));
             assert_eq!(
                 reference.coloring, outcome.coloring,
-                "{name}: sharded({shards}) coloring diverged"
+                "{name}: parallel({threads}) coloring diverged"
             );
             assert_eq!(
                 reference.metrics, outcome.metrics,
-                "{name}: sharded({shards}) metrics diverged"
+                "{name}: parallel({threads}) metrics diverged"
             );
         }
     }
@@ -202,9 +200,6 @@ proptest! {
         for policy in [
             ExecutionPolicy::parallel(2),
             ExecutionPolicy::parallel(8),
-            ExecutionPolicy::sharded(2, 1),
-            ExecutionPolicy::sharded(4, 2),
-            ExecutionPolicy::sharded(8, 2),
         ] {
             let (_, session, session_repaired) = run_dynamic_session(
                 &initial,

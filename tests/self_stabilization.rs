@@ -98,13 +98,7 @@ fn stabilization_is_bit_identical_across_policies() {
     };
     let (seq_coloring, seq_touched, seq_report) = run(ExecutionPolicy::Sequential);
     assert!(seq_report.conflicts_found > 0);
-    for policy in [
-        ExecutionPolicy::parallel(2),
-        ExecutionPolicy::parallel(8),
-        ExecutionPolicy::sharded(2, 2),
-        ExecutionPolicy::sharded(4, 2),
-        ExecutionPolicy::sharded(8, 3),
-    ] {
+    for policy in [ExecutionPolicy::parallel(2), ExecutionPolicy::parallel(8)] {
         let (coloring, touched, report) = run(policy);
         assert_eq!(touched, seq_touched, "corruption diverged at {policy}");
         assert_eq!(
