@@ -1,10 +1,11 @@
 # Verification entry points for the edge-coloring reproduction workspace.
 
-.PHONY: verify verify-fast build test clippy fmt bench-check examples doc bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
+.PHONY: verify verify-fast build test clippy fmt bench-check examples doc perfbench-check bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
 
 # The full gate: tier-1 (release build + tests) plus lints, formatting,
-# bench compilation, example compilation and the rustdoc gate.
-verify: build test clippy fmt bench-check examples doc
+# bench compilation, example compilation, the rustdoc gate and the
+# benchmark's correctness gate.
+verify: build test clippy fmt bench-check examples doc perfbench-check
 
 # The inner-loop gate: build + tier-1 tests only (no clippy/fmt/doc/bench
 # compilation). Use while iterating; run `make verify` before pushing.
@@ -31,6 +32,13 @@ examples:
 # Rustdoc must stay warning-free (missing docs, broken intra-doc links).
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The benchmark's correctness gate: the perfbench smoke tests run every
+# workload briefly and fail unless its output is proper, complete, within
+# 2Δ−1 colors and identical on every repeat (perfbench is a workspace of
+# its own, so the root `cargo test` does not reach it).
+perfbench-check:
+	cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
 # The measured baseline: quick E1–E11 sweeps plus the full-size SCALE
 # experiment (million-edge graphs at 1/2/4/8 threads), the DYN dynamic

@@ -15,9 +15,35 @@
 //! this creates on the already-oriented edges by playing one instance of the
 //! generalized token dropping game of Section 4 and flipping the edges over
 //! which tokens moved.
+//!
+//! # Incremental phase state
+//!
+//! A phase costs its work, not `O(n + m)`. The phase state is kept across
+//! phases instead of being recomputed from the orientation:
+//!
+//! * the ascending list of unoriented edges;
+//! * every node's unoriented degree, and the largest unoriented edge degree;
+//! * every node's `d⁻`, the smallest degree among its already oriented
+//!   edges (the input of `α_w(φ)`).
+//!
+//! Two shortcuts follow, and both are exact:
+//!
+//! * A phase whose threshold `(1−ν)^φ·Δ̄` is at least the largest unoriented
+//!   edge degree is skipped in `O(1)`. Its `E_φ` is empty, so nothing is
+//!   proposed, accepted or moved, and the schedule `(threshold, k_φ, δ_φ)`
+//!   depends only on `φ`.
+//! * The repair game is played on its *players* only: the endpoints of
+//!   violating edges and the nodes that accepted tokens, numbered in host
+//!   order so every id tie-break of the solver is unchanged. Any other node
+//!   has `x = 0 < α + δ` and no arcs, so it never acts.
+//!
+//! Within a productive phase, proposals are accepted in one pass in edge
+//! order (each node takes its `k_φ` smallest edge ids), and the previous
+//! phase's `x` values are the live indegrees, read before step 4 orients the
+//! accepted edges.
 
 use crate::params::OrientationParams;
-use crate::token_dropping::{solve_distributed_with, TokenGame, TokenGameParams};
+use crate::token_dropping::{solve_distributed, TokenGame, TokenGameParams};
 use distgraph::{BipartiteGraph, EdgeId, NodeId, Orientation};
 use distsim::{bits_for, LedgerEntry, Network};
 
@@ -87,141 +113,155 @@ pub fn compute_balanced_orientation(
     let mut total_game_rounds = 0u64;
     let mut total_violating = 0usize;
 
+    // Phase state carried across phases (see the module docs).
+    let mut unoriented: Vec<EdgeId> = graph.edges().collect();
+    let mut unoriented_deg: Vec<usize> = graph.nodes().map(|w| graph.degree(w)).collect();
+    let mut d_minus = vec![usize::MAX; graph.n()];
+    let unoriented_edge_degree = |deg: &[usize], e: EdgeId| {
+        let (a, b) = graph.endpoints(e);
+        deg[a.index()] + deg[b.index()] - 2
+    };
+    let mut max_unoriented_degree = graph.max_edge_degree();
+    // Scratch for numbering a game's players: a bitset marking them, and
+    // the local id of each (meaningful only for the current game's players).
+    let mut is_player = vec![0u64; graph.n().div_ceil(64)];
+    let mut player_id = vec![0usize; graph.n()];
+    let mut accepted_count = vec![0usize; graph.n()];
+
     for phi in 1..=max_phases {
-        if orientation.oriented_count() == graph.m() {
+        if unoriented.is_empty() {
             break;
         }
         let threshold = (1.0 - nu).powi(phi as i32) * dbar as f64;
 
-        // Unoriented degree of every node (number of unoriented incident edges).
-        let mut unoriented_deg = vec![0usize; graph.n()];
-        for e in graph.edges() {
-            if !orientation.is_oriented(e) {
-                let (a, b) = graph.endpoints(e);
-                unoriented_deg[a.index()] += 1;
-                unoriented_deg[b.index()] += 1;
-            }
-        }
-
-        // Snapshot of x_w = indegree at the end of the previous phase.
-        let x_prev: Vec<i64> = graph
-            .nodes()
-            .map(|w| orientation.indegree(w) as i64)
-            .collect();
-
         // Step 1: E_φ = unoriented edges whose unoriented edge degree exceeds
-        // (1 − ν)^φ · Δ̄.
-        let e_phi: Vec<EdgeId> = graph
-            .edges()
-            .filter(|&e| {
-                if orientation.is_oriented(e) {
-                    return false;
-                }
-                let (a, b) = graph.endpoints(e);
-                let d = unoriented_deg[a.index()] + unoriented_deg[b.index()] - 2;
-                d as f64 > threshold
-            })
-            .collect();
-
-        // A phase with E_φ = ∅ cannot change any state: no proposals means no
-        // acceptances, and the repair game's tokens come exclusively from
-        // this phase's acceptances, so it starts empty and moves nothing.
-        // The phase schedule (threshold, k_φ, δ_φ) depends only on φ, so
-        // skipping the phase without charging rounds is semantically exact —
-        // the orientation just waits for the threshold to decay to the next
-        // productive batch.
-        if e_phi.is_empty() {
+        // (1 − ν)^φ · Δ̄. A phase with E_φ = ∅ cannot change any state: no
+        // proposals means no acceptances, and the repair game's tokens come
+        // exclusively from this phase's acceptances, so it starts empty and
+        // moves nothing. The phase schedule (threshold, k_φ, δ_φ) depends
+        // only on φ, so skipping the phase without charging rounds is
+        // semantically exact. E_φ is empty exactly when the largest
+        // unoriented edge degree is at most the threshold.
+        if max_unoriented_degree as f64 <= threshold {
             continue;
         }
+        let e_phi: Vec<EdgeId> = unoriented
+            .iter()
+            .copied()
+            .filter(|&e| unoriented_edge_degree(&unoriented_deg, e) as f64 > threshold)
+            .collect();
         phases_run += 1;
 
-        // Step 2: every edge in E_φ proposes to one of its endpoints.
-        let mut proposals_by_target: Vec<Vec<EdgeId>> = vec![Vec::new(); graph.n()];
+        // Steps 2 + 3: every edge in E_φ proposes to one of its endpoints
+        // (by the x values of the previous phase, i.e. the live indegrees,
+        // which step 4 has not touched yet), and each node accepts at most
+        // k_φ proposals, deterministically the ones with the smallest edge
+        // identifiers — which a single pass in edge order yields.
+        let k_phi = params.k_phi(phi, dbar);
+        let mut accepted: Vec<(EdgeId, NodeId)> = Vec::new();
         for &e in &e_phi {
             let (u, v) = bg.endpoints_uv(e);
-            let target = if x_prev[v.index()] - x_prev[u.index()] <= eta[e.index()] as i64 {
+            let (xu, xv) = (
+                orientation.indegree(u) as i64,
+                orientation.indegree(v) as i64,
+            );
+            let target = if xv - xu <= eta[e.index()] as i64 {
                 v
             } else {
                 u
             };
-            proposals_by_target[target.index()].push(e);
-        }
-
-        // Step 3: each node accepts at most k_φ proposals (deterministically
-        // the ones with the smallest edge identifiers).
-        let k_phi = params.k_phi(phi, dbar);
-        let mut accepted: Vec<(EdgeId, NodeId)> = Vec::new();
-        let mut accepted_count = vec![0usize; graph.n()];
-        for w in graph.nodes() {
-            let list = &mut proposals_by_target[w.index()];
-            list.sort_unstable();
-            for &e in list.iter().take(k_phi) {
-                accepted.push((e, w));
-                accepted_count[w.index()] += 1;
+            if accepted_count[target.index()] < k_phi {
+                accepted_count[target.index()] += 1;
+                accepted.push((e, target));
             }
         }
 
         // Step 5: F'_{<φ} = previously oriented edges currently violating the
         // η condition (evaluated with the x values of the previous phase).
-        let mut violating: Vec<EdgeId> = Vec::new();
-        for (e, head) in orientation.oriented_edges() {
-            let (u, v) = bg.endpoints_uv(e);
-            let he = eta[e.index()];
-            let violated = if head == v {
-                (x_prev[v.index()] - x_prev[u.index()]) as f64 > he
-            } else {
-                (x_prev[u.index()] - x_prev[v.index()]) as f64 > -he
-            };
-            if violated {
-                violating.push(e);
-            }
-        }
-
-        // d⁻_φ(w): the minimum deg_G(e) over edges incident to w oriented
-        // before this phase (0 if there is none), used for α_w(φ).
-        let mut d_minus = vec![usize::MAX; graph.n()];
-        for (e, _) in orientation.oriented_edges() {
-            let (a, b) = graph.endpoints(e);
-            let deg_e = graph.edge_degree(e);
-            d_minus[a.index()] = d_minus[a.index()].min(deg_e);
-            d_minus[b.index()] = d_minus[b.index()].min(deg_e);
-        }
-        for d in &mut d_minus {
-            if *d == usize::MAX {
-                *d = 0;
-            }
-        }
+        let violating: Vec<EdgeId> = orientation
+            .oriented_edges()
+            .filter(|&(e, head)| {
+                let (u, v) = bg.endpoints_uv(e);
+                let (xu, xv) = (
+                    orientation.indegree(u) as i64,
+                    orientation.indegree(v) as i64,
+                );
+                let he = eta[e.index()];
+                if head == v {
+                    (xv - xu) as f64 > he
+                } else {
+                    (xu - xv) as f64 > -he
+                }
+            })
+            .map(|(e, _)| e)
+            .collect();
 
         // Step 4: newly accepted edges get oriented towards the acceptor.
         for &(e, head) in &accepted {
             orientation.orient(graph, e, head);
+            let (a, b) = graph.endpoints(e);
+            unoriented_deg[a.index()] -= 1;
+            unoriented_deg[b.index()] -= 1;
         }
 
         // Step 6: one token dropping game on the violating edges. The game
         // arc of an edge points *against* the current orientation (from the
         // edge's head to its tail); moving a token over the arc corresponds
-        // to flipping the edge.
+        // to flipping the edge. The game is played on its players only — the
+        // endpoints of violating edges and the nodes holding tokens — with
+        // player ids in host order, so every id tie-break is unchanged; any
+        // other node has no arcs and no tokens and never acts.
         let mut game_rounds = 0u64;
         if !violating.is_empty() && k_phi >= 1 {
+            let mut mark = |w: NodeId| is_player[w.index() / 64] |= 1 << (w.index() % 64);
+            for &(_, w) in &accepted {
+                mark(w);
+            }
+            for &e in &violating {
+                let (a, b) = graph.endpoints(e);
+                mark(a);
+                mark(b);
+            }
+            // Draining the bitset word by word lists the players in host
+            // order and leaves it clear for the next game.
+            let mut players: Vec<NodeId> = Vec::new();
+            for (i, word) in is_player.iter_mut().enumerate() {
+                while *word != 0 {
+                    let w = NodeId::new(64 * i + word.trailing_zeros() as usize);
+                    player_id[w.index()] = players.len();
+                    players.push(w);
+                    *word &= *word - 1;
+                }
+            }
             let arcs: Vec<(NodeId, NodeId)> = violating
                 .iter()
                 .map(|&e| {
                     let head = orientation.head(e).expect("violating edges are oriented");
                     let tail = graph.other_endpoint(e, head);
-                    (head, tail)
+                    (
+                        NodeId::new(player_id[head.index()]),
+                        NodeId::new(player_id[tail.index()]),
+                    )
                 })
                 .collect();
-            let initial_tokens: Vec<usize> = accepted_count.iter().map(|&c| c.min(k_phi)).collect();
-            let game = TokenGame::new(graph.n(), arcs, k_phi, initial_tokens);
+            let initial_tokens: Vec<usize> =
+                players.iter().map(|w| accepted_count[w.index()]).collect();
+            let game = TokenGame::new(players.len(), arcs, k_phi, initial_tokens);
             let delta_phi = params.delta_phi(phi, dbar);
-            let alpha: Vec<usize> = (0..graph.n())
-                .map(|w| params.alpha(d_minus[w], dbar).max(delta_phi))
+            let alpha: Vec<usize> = players
+                .iter()
+                .map(|w| {
+                    let d = d_minus[w.index()];
+                    params
+                        .alpha(if d == usize::MAX { 0 } else { d }, dbar)
+                        .max(delta_phi)
+                })
                 .collect();
             let tg_params = TokenGameParams {
                 alpha,
                 delta: delta_phi,
             };
-            let result = solve_distributed_with(&game, &tg_params, params.policy);
+            let result = solve_distributed(&game, &tg_params);
             game_rounds = result.rounds;
             // Step 7: flip every edge over which a token moved.
             for (i, &e) in violating.iter().enumerate() {
@@ -234,6 +274,22 @@ pub fn compute_balanced_orientation(
             net.charge_messages(result.rounds * violating.len() as u64, message_bits);
         }
 
+        // Carry the phase state over to the next phase: the accepted edges
+        // leave the unoriented list and now count towards d⁻ at both ends.
+        for &(e, head) in &accepted {
+            accepted_count[head.index()] = 0;
+            let (a, b) = graph.endpoints(e);
+            let deg_e = graph.edge_degree(e);
+            d_minus[a.index()] = d_minus[a.index()].min(deg_e);
+            d_minus[b.index()] = d_minus[b.index()].min(deg_e);
+        }
+        unoriented.retain(|&e| !orientation.is_oriented(e));
+        max_unoriented_degree = unoriented
+            .iter()
+            .map(|&e| unoriented_edge_degree(&unoriented_deg, e))
+            .max()
+            .unwrap_or(0);
+
         // Round accounting for the phase: one round to exchange x values, one
         // for the proposals, one for the acceptances, plus the game.
         net.charge_rounds(3 + game_rounds);
@@ -244,13 +300,10 @@ pub fn compute_balanced_orientation(
 
     // Any edge still unoriented after the phases has only O(1) unoriented
     // neighbors (Lemma 5.4); orient it arbitrarily (towards its V endpoint).
-    let mut leftover = 0u64;
-    for e in graph.edges() {
-        if !orientation.is_oriented(e) {
-            let (_, v) = bg.endpoints_uv(e);
-            orientation.orient(graph, e, v);
-            leftover += 1;
-        }
+    let leftover = unoriented.len() as u64;
+    for e in unoriented {
+        let (_, v) = bg.endpoints_uv(e);
+        orientation.orient(graph, e, v);
     }
     if leftover > 0 {
         net.charge_rounds(1);

@@ -37,10 +37,6 @@ pub struct OrientationParams {
     pub nu: f64,
     /// The constant-factor profile.
     pub profile: ParamProfile,
-    /// How the per-round node work of the orientation machinery (including
-    /// its token dropping games) is executed. Does not affect results, only
-    /// wall-clock time.
-    pub policy: ExecutionPolicy,
 }
 
 impl OrientationParams {
@@ -49,18 +45,7 @@ impl OrientationParams {
         let eps = eps.clamp(1e-6, 1.0);
         // Equation (4): ν ≤ 1/8, and the analysis sets ε = 8ν.
         let nu = (eps / 8.0).clamp(1e-7, 0.125);
-        OrientationParams {
-            eps,
-            nu,
-            profile,
-            policy: ExecutionPolicy::Sequential,
-        }
-    }
-
-    /// Same parameters with a different execution policy.
-    pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
+        OrientationParams { eps, nu, profile }
     }
 
     /// Natural logarithm of Δ̄, floored at 1 so the formulas never divide by 0.
@@ -206,9 +191,9 @@ impl ColoringParams {
     }
 
     /// The orientation parameters induced by these coloring parameters for a
-    /// given per-level `ε` value (the execution policy is inherited).
+    /// given per-level `ε` value.
     pub fn orientation(&self, eps: f64) -> OrientationParams {
-        OrientationParams::new(eps, self.profile).with_policy(self.policy)
+        OrientationParams::new(eps, self.profile)
     }
 
     /// The degree threshold below which an edge stops being split further.
@@ -344,11 +329,6 @@ mod tests {
         assert_eq!(c.policy, ExecutionPolicy::Sequential);
         let par = c.with_policy(ExecutionPolicy::parallel(4));
         assert_eq!(par.policy, ExecutionPolicy::parallel(4));
-        // The induced orientation parameters inherit the policy.
-        assert_eq!(par.orientation(0.25).policy, ExecutionPolicy::parallel(4));
-        let o =
-            OrientationParams::new(0.5, ParamProfile::Paper).with_policy(ExecutionPolicy::auto());
-        assert!(o.policy.threads() >= 1);
     }
 
     #[test]

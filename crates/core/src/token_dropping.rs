@@ -17,7 +17,6 @@
 //!   rounds each and guarantees the bound of Theorem 4.3 on every active arc.
 
 use distgraph::NodeId;
-use distsim::{map_node_chunks, ExecutionPolicy};
 
 /// Index of an arc of a [`TokenGame`].
 pub type ArcId = usize;
@@ -161,6 +160,48 @@ pub fn solve_sequential(
     }
 }
 
+/// The game digraph's in-arcs as one flat CSR table, with the proposal
+/// priority of every node.
+struct InArcs {
+    /// The arcs into `v` are `arcs[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    /// `(arc, tail)` pairs grouped by head, in arc order within a head.
+    arcs: Vec<(ArcId, NodeId)>,
+    /// The proposal priority `deg(w)/α_w` of every node (smaller first).
+    ratio: Vec<f64>,
+}
+
+impl InArcs {
+    fn new(game: &TokenGame, params: &TokenGameParams) -> Self {
+        let n = game.n;
+        let mut degree: Vec<usize> = vec![0; n];
+        let mut start: Vec<usize> = vec![0; n + 1];
+        for &(tail, head) in &game.arcs {
+            degree[tail.index()] += 1;
+            degree[head.index()] += 1;
+            start[head.index() + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut arcs: Vec<(ArcId, NodeId)> = vec![(0, NodeId::new(0)); game.num_arcs()];
+        let mut cursor = start.clone();
+        for (i, &(tail, head)) in game.arcs.iter().enumerate() {
+            arcs[cursor[head.index()]] = (i, tail);
+            cursor[head.index()] += 1;
+        }
+        let ratio = (0..n)
+            .map(|w| degree[w] as f64 / params.alpha[w] as f64)
+            .collect();
+        InArcs { start, arcs, ratio }
+    }
+
+    /// The `(arc, tail)` pairs of the arcs into `v`, in arc order.
+    fn arcs_into(&self, v: usize) -> &[(ArcId, NodeId)] {
+        &self.arcs[self.start[v]..self.start[v + 1]]
+    }
+}
+
 /// Runs the distributed algorithm of Section 4.1 sequentially.
 ///
 /// Each of the `⌊k/δ⌋ − 1` phases costs three communication rounds (state
@@ -172,25 +213,6 @@ pub fn solve_sequential(
 ///
 /// Panics if `params.alpha` has the wrong length or `δ = 0`.
 pub fn solve_distributed(game: &TokenGame, params: &TokenGameParams) -> TokenGameResult {
-    solve_distributed_with(game, params, ExecutionPolicy::Sequential)
-}
-
-/// Runs the distributed algorithm of Section 4.1 under the given
-/// [`ExecutionPolicy`].
-///
-/// The per-node work of every phase (activity test, proposal selection,
-/// proposal acceptance) is evaluated over contiguous node chunks and the
-/// per-chunk results are applied in node order, so the outcome is
-/// bit-identical to [`solve_distributed`] at every thread count.
-///
-/// # Panics
-///
-/// Same contract as [`solve_distributed`].
-pub fn solve_distributed_with(
-    game: &TokenGame,
-    params: &TokenGameParams,
-    policy: ExecutionPolicy,
-) -> TokenGameResult {
     assert_eq!(params.alpha.len(), game.n, "one alpha per node");
     assert!(params.delta >= 1, "delta must be at least 1");
     let delta = params.delta;
@@ -203,138 +225,85 @@ pub fn solve_distributed_with(
     let mut arc_active: Vec<bool> = vec![true; game.num_arcs()];
     let mut moved: Vec<bool> = vec![false; game.num_arcs()];
 
-    // Pre-compute adjacency of the game digraph in a single pass over the arcs.
-    let mut in_arcs: Vec<Vec<(ArcId, NodeId)>> = vec![Vec::new(); n];
-    let mut degree: Vec<usize> = vec![0; n];
-    for (i, &(tail, head)) in game.arcs.iter().enumerate() {
-        in_arcs[head.index()].push((i, tail));
-        degree[tail.index()] += 1;
-        degree[head.index()] += 1;
-    }
-
     let total_phases = (k / delta).saturating_sub(1) as u64;
     let mut phases_run = 0u64;
+    let mut active: Vec<bool> = vec![false; n];
+    let mut senders: Vec<(ArcId, NodeId)> = Vec::new();
+    let mut proposals: Vec<(NodeId, ArcId)> = Vec::new();
+    let mut received: Vec<usize> = vec![0; n];
+    let mut sent: Vec<usize> = vec![0; n];
+    // Built by the first phase that has an active node, so a game that is
+    // inert from the start costs only its activity test.
+    let mut in_arcs: Option<InArcs> = None;
 
     for t in 1..=total_phases {
-        // Step 1: active nodes A(t) (per-node test, chunked).
-        let active: Vec<bool> = {
-            let x = &x;
-            map_node_chunks(n, policy, |range| {
-                range
-                    .map(|v| x[v] >= params.alpha[v] + delta)
-                    .collect::<Vec<bool>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        // Step 1: active nodes A(t).
+        for v in 0..n {
+            active[v] = x[v] >= params.alpha[v] + delta;
+        }
         // Once no node is active the play has reached a fixpoint: conversions
         // happen only at active nodes and proposals go only to active
         // in-neighbors, so every remaining phase would leave the state
         // untouched. Halting here produces the exact same outcome without
         // charging rounds for provably inert phases.
-        if !active.iter().any(|&a| a) {
+        if !active.contains(&true) {
             break;
         }
         phases_run += 1;
-        // Step 2: move δ tokens from active to passive at active nodes.
-        let mut x_prime = x.clone();
+        let in_arcs = in_arcs.get_or_insert_with(|| InArcs::new(game, params));
+        // Step 2: move δ tokens from active to passive at active nodes
+        // (x now holds the paper's x').
         for v in 0..n {
             if active[v] {
-                x_prime[v] -= delta;
+                x[v] -= delta;
                 y[v] += delta;
             }
         }
         // Step 3 + 4: every node v with spare capacity sends proposals to the
         // active in-neighbors over still-active arcs, preferring in-neighbors
-        // with the smallest deg(w)/α_w ratio. The per-node selection (filter
-        // + sort) runs chunked; the chunk results are concatenated in node
-        // order, so the proposal lists match the sequential schedule exactly.
+        // with the smallest deg(w)/α_w ratio (ties: smaller node id).
         let t_delta = t as usize * delta;
-        let chosen: Vec<Vec<(ArcId, NodeId)>> = {
-            let (x_prime, active, arc_active) = (&x_prime, &active, &arc_active);
-            let (in_arcs, degree) = (&in_arcs, &degree);
-            map_node_chunks(n, policy, |range| {
-                let mut out: Vec<Vec<(ArcId, NodeId)>> = Vec::with_capacity(range.len());
-                for v in range {
-                    let capacity_bound = k as i64 - t_delta as i64 - params.alpha[v] as i64;
-                    if (x_prime[v] as i64) > capacity_bound {
-                        out.push(Vec::new());
-                        continue;
-                    }
-                    let mut senders: Vec<(ArcId, NodeId)> = in_arcs[v]
-                        .iter()
-                        .copied()
-                        .filter(|(arc, w)| arc_active[*arc] && active[w.index()])
-                        .collect();
-                    // Priority: smaller deg(w)/α_w first; tie-break on node id
-                    // for determinism.
-                    senders.sort_by(|(_, a), (_, b)| {
-                        let ra = degree[a.index()] as f64 / params.alpha[a.index()] as f64;
-                        let rb = degree[b.index()] as f64 / params.alpha[b.index()] as f64;
-                        ra.partial_cmp(&rb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(b))
-                    });
-                    let budget = (k as i64 - t_delta as i64 - x_prime[v] as i64).max(0) as usize;
-                    senders.truncate(budget);
-                    out.push(senders);
-                }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        // proposals[w] = list of arc ids over which w received a proposal
-        // this phase, scattered in proposer order.
-        let mut proposals: Vec<Vec<ArcId>> = vec![Vec::new(); n];
-        for picks in &chosen {
-            for &(arc, w) in picks {
-                proposals[w.index()].push(arc);
+        proposals.clear();
+        for (v, &xv) in x.iter().enumerate() {
+            let capacity_bound = k as i64 - t_delta as i64 - params.alpha[v] as i64;
+            if (xv as i64) > capacity_bound {
+                continue;
             }
+            senders.clear();
+            senders.extend(
+                in_arcs
+                    .arcs_into(v)
+                    .iter()
+                    .filter(|(arc, w)| arc_active[*arc] && active[w.index()]),
+            );
+            let ratio = &in_arcs.ratio;
+            senders.sort_by(|(_, a), (_, b)| {
+                ratio[a.index()]
+                    .partial_cmp(&ratio[b.index()])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(b))
+            });
+            let budget = (k as i64 - t_delta as i64 - xv as i64).max(0) as usize;
+            proposals.extend(senders.iter().take(budget).map(|&(arc, w)| (w, arc)));
         }
         // Step 5: each proposed-to node w accepts q_w = min(p_w, x'_w)
-        // proposals (smallest arc ids first, chunked per node) and sends a
-        // token over those arcs; the acceptances are applied in node order.
-        let accepted_by: Vec<Vec<ArcId>> = {
-            let (proposals, x_prime) = (&proposals, &x_prime);
-            map_node_chunks(n, policy, |range| {
-                let mut out: Vec<Vec<ArcId>> = Vec::with_capacity(range.len());
-                for w in range {
-                    if proposals[w].is_empty() {
-                        out.push(Vec::new());
-                        continue;
-                    }
-                    let q = proposals[w].len().min(x_prime[w]);
-                    // Deterministic choice: accept the proposals with the
-                    // smallest arc ids.
-                    let mut accepted = proposals[w].clone();
-                    accepted.sort_unstable();
-                    accepted.truncate(q);
-                    out.push(accepted);
-                }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        let mut received: Vec<usize> = vec![0; n];
-        let mut sent: Vec<usize> = vec![0; n];
-        for (w, accepted) in accepted_by.iter().enumerate() {
-            for &arc in accepted {
-                let (tail, head) = game.arcs[arc];
-                debug_assert_eq!(tail.index(), w);
+        // proposals (deterministically the smallest arc ids) and sends a
+        // token over those arcs.
+        proposals.sort_unstable();
+        for group in proposals.chunk_by(|a, b| a.0 == b.0) {
+            let w = group[0].0.index();
+            for &(_, arc) in group.iter().take(x[w]) {
                 arc_active[arc] = false;
                 moved[arc] = true;
-                received[head.index()] += 1;
+                received[game.arcs[arc].1.index()] += 1;
                 sent[w] += 1;
             }
         }
         // Step 6: update active token counts.
         for v in 0..n {
-            x[v] = x_prime[v] + received[v] - sent[v];
+            x[v] = x[v] + received[v] - sent[v];
+            received[v] = 0;
+            sent[v] = 0;
         }
     }
 
@@ -550,36 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solver_is_bit_identical_to_sequential() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for trial in 0..6 {
-            let n = 40;
-            let k = 24;
-            let mut arcs = Vec::new();
-            for u in 0..n {
-                for v in 0..n {
-                    if u != v && rng.gen_bool(0.06) {
-                        arcs.push((node(u), node(v)));
-                    }
-                }
-            }
-            let tokens: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=k)).collect();
-            let game = TokenGame::new(n, arcs, k, tokens);
-            let delta = 1 + trial % 4;
-            let params = uniform_params(&game, delta + 1, delta);
-            let reference = solve_distributed(&game, &params);
-            for threads in [2usize, 3, 8] {
-                let result =
-                    solve_distributed_with(&game, &params, ExecutionPolicy::parallel(threads));
-                assert_eq!(
-                    result, reference,
-                    "trial {trial}: {threads}-thread run diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn no_arcs_means_nothing_happens() {
         let game = TokenGame::new(4, vec![], 3, vec![3, 1, 0, 2]);
         let params = uniform_params(&game, 1, 1);
@@ -587,6 +526,76 @@ mod tests {
         assert_eq!(result.tokens, vec![3, 1, 0, 2]);
         assert!(result.moved.is_empty());
         assert!(check_invariants(&game, &result));
+    }
+
+    #[test]
+    fn isolated_zero_token_nodes_never_act() {
+        // A node with no arcs and no tokens has x = 0 < α + δ, so it is never
+        // active, never proposes (it has no in-arcs) and is never proposed
+        // to. Interleaving such pads between the nodes of a game (keeping the
+        // real nodes in the same relative order, so every id tie-break is
+        // unchanged) must leave the play exactly as it was.
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut moves = 0;
+        for trial in 0..8 {
+            let n = 30;
+            let k = 16;
+            let mut arcs = Vec::new();
+            for u in 0..n {
+                for v in 0..n {
+                    if u != v && rng.gen_bool(0.2) {
+                        arcs.push((node(u), node(v)));
+                    }
+                }
+            }
+            let tokens: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=k)).collect();
+            let delta = 1 + trial % 3;
+            let alpha: Vec<usize> = (0..n).map(|_| rng.gen_range(delta..=delta + 3)).collect();
+            let game = TokenGame::new(n, arcs.clone(), k, tokens.clone());
+            let params = TokenGameParams {
+                alpha: alpha.clone(),
+                delta,
+            };
+            let reference = solve_distributed(&game, &params);
+
+            // Padded instance: a random run of pads before every real node
+            // and after the last one.
+            let mut position = Vec::with_capacity(n);
+            let (mut padded_tokens, mut padded_alpha) = (Vec::new(), Vec::new());
+            for v in 0..=n {
+                for _ in 0..rng.gen_range(0..3) {
+                    padded_tokens.push(0);
+                    padded_alpha.push(rng.gen_range(delta..=delta + 3));
+                }
+                if v < n {
+                    position.push(padded_tokens.len());
+                    padded_tokens.push(tokens[v]);
+                    padded_alpha.push(alpha[v]);
+                }
+            }
+            let padded_arcs = arcs
+                .iter()
+                .map(|&(a, b)| (node(position[a.index()]), node(position[b.index()])))
+                .collect();
+            let padded = TokenGame::new(padded_tokens.len(), padded_arcs, k, padded_tokens);
+            let padded_params = TokenGameParams {
+                alpha: padded_alpha,
+                delta,
+            };
+            let result = solve_distributed(&padded, &padded_params);
+
+            moves += reference.moved.iter().filter(|&&m| m).count();
+            assert_eq!(result.moved, reference.moved, "trial {trial}");
+            assert_eq!(result.phases, reference.phases, "trial {trial}");
+            assert_eq!(result.rounds, reference.rounds, "trial {trial}");
+            for (w, &t) in result.tokens.iter().enumerate() {
+                match position.iter().position(|&p| p == w) {
+                    Some(v) => assert_eq!(t, reference.tokens[v], "trial {trial}"),
+                    None => assert_eq!(t, 0, "trial {trial}: pad {w} holds tokens"),
+                }
+            }
+        }
+        assert!(moves > 0, "the games must move tokens to test anything");
     }
 
     #[test]

@@ -491,17 +491,42 @@ impl Graph {
     /// Builds the subgraph induced by keeping only the edges for which `keep`
     /// returns `true`. The node set is unchanged; a mapping from new edge ids
     /// to original edge ids is returned alongside the subgraph.
+    ///
+    /// Kept edges are renumbered in increasing original id, and the result
+    /// equals [`Graph::from_edges`] on the kept endpoint pairs. It is built
+    /// by filtering this graph's CSR directly: every adjacency slice is
+    /// already sorted by neighbor id and free of duplicates, so a filtered
+    /// slice is too, and no hashing or sorting is needed.
     pub fn edge_subgraph(&self, keep: impl Fn(EdgeId) -> bool) -> (Graph, Vec<EdgeId>) {
+        const DROPPED: usize = usize::MAX;
+        let mut new_id = vec![DROPPED; self.m()];
         let mut kept_edges = Vec::new();
-        let mut raw = Vec::new();
+        let mut endpoints = Vec::new();
         for e in self.edges() {
             if keep(e) {
-                let (u, v) = self.endpoints(e);
-                raw.push((u.index(), v.index()));
+                new_id[e.index()] = kept_edges.len();
                 kept_edges.push(e);
+                endpoints.push(self.endpoints(e));
             }
         }
-        let sub = Graph::from_edges(self.n(), &raw).expect("subgraph of a valid graph is valid");
+        let mut offsets = Vec::with_capacity(self.n() + 1);
+        let mut adj = Vec::with_capacity(2 * kept_edges.len());
+        offsets.push(0);
+        for v in self.nodes() {
+            adj.extend(self.neighbors(v).iter().filter_map(|nb| {
+                let id = new_id[nb.edge.index()];
+                (id != DROPPED).then(|| Neighbor {
+                    node: nb.node,
+                    edge: EdgeId::new(id),
+                })
+            }));
+            offsets.push(adj.len());
+        }
+        let sub = Graph {
+            offsets,
+            adj,
+            endpoints,
+        };
         (sub, kept_edges)
     }
 

@@ -9,13 +9,43 @@
 
 use crate::graph::Graph;
 use crate::ids::{Color, EdgeId};
+use std::ops::Range;
 
 /// Per-edge color lists over a common color space `{0, ..., space_size - 1}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # The pool
+///
+/// Every list is a span (a range of positions) into one shared, read-only
+/// pool of colors, so lists that coincide are stored once. The two standard
+/// instances store a single palette: [`ListAssignment::full_palette`] points
+/// every edge at the whole pool `{0, ..., k-1}`, and
+/// [`ListAssignment::degree_plus_one`] points edge `e` at the prefix
+/// `{0, ..., deg_G(e)}` of the pool `{0, ..., Δ̄}`. Explicit lists
+/// ([`ListAssignment::new`]) are concatenated into the pool one after the
+/// other. Memory is therefore one span per edge plus the distinct colors,
+/// instead of one heap list per edge.
+///
+/// The pool layout is an implementation detail: equality compares the
+/// color space and the lists themselves, so two assignments with the same
+/// lists are equal however they were built.
+#[derive(Debug, Clone)]
 pub struct ListAssignment {
     space_size: usize,
-    lists: Vec<Vec<Color>>,
+    /// The shared color pool; every span below indexes into it.
+    pool: Vec<Color>,
+    /// Per-edge list: `pool[spans[e]]` is sorted and duplicate-free.
+    spans: Vec<Range<usize>>,
 }
+
+impl PartialEq for ListAssignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.space_size == other.space_size
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.list(EdgeId::new(i)) == other.list(EdgeId::new(i)))
+    }
+}
+
+impl Eq for ListAssignment {}
 
 impl ListAssignment {
     /// Creates a list assignment from explicit per-edge lists.
@@ -23,26 +53,33 @@ impl ListAssignment {
     /// Lists are deduplicated and sorted; colors outside the color space are
     /// discarded.
     pub fn new(space_size: usize, lists: Vec<Vec<Color>>) -> Self {
-        let lists = lists
+        let mut pool = Vec::new();
+        let spans = lists
             .into_iter()
             .map(|mut l| {
                 l.retain(|c| *c < space_size);
                 l.sort_unstable();
                 l.dedup();
-                l
+                let start = pool.len();
+                pool.extend_from_slice(&l);
+                start..pool.len()
             })
             .collect();
-        ListAssignment { space_size, lists }
+        ListAssignment {
+            space_size,
+            pool,
+            spans,
+        }
     }
 
     /// The standard `K`-edge-coloring instance: every edge gets the full list
     /// `{0, ..., k-1}` (Section 2: "the standard K-edge coloring is a special
     /// case of the list edge coloring problem").
     pub fn full_palette(graph: &Graph, k: usize) -> Self {
-        let list: Vec<Color> = (0..k).collect();
         ListAssignment {
             space_size: k,
-            lists: vec![list; graph.m()],
+            pool: (0..k).collect(),
+            spans: vec![0..k; graph.m()],
         }
     }
 
@@ -50,13 +87,10 @@ impl ListAssignment {
     /// `{0, ..., deg_G(e)}` for every edge, over the color space of size `Δ̄+1`.
     pub fn degree_plus_one(graph: &Graph) -> Self {
         let space = graph.max_edge_degree() + 1;
-        let lists = graph
-            .edges()
-            .map(|e| (0..=graph.edge_degree(e)).collect())
-            .collect();
         ListAssignment {
             space_size: space,
-            lists,
+            pool: (0..space).collect(),
+            spans: graph.edges().map(|e| 0..graph.edge_degree(e) + 1).collect(),
         }
     }
 
@@ -68,49 +102,29 @@ impl ListAssignment {
 
     /// Number of edges with a list.
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.spans.len()
     }
 
     /// Returns `true` if there are no lists.
     pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
+        self.spans.is_empty()
     }
 
     /// The list of edge `e` (sorted, deduplicated).
     #[inline]
     pub fn list(&self, e: EdgeId) -> &[Color] {
-        &self.lists[e.index()]
+        &self.pool[self.spans[e.index()].clone()]
     }
 
     /// The size of the list of edge `e`.
     #[inline]
     pub fn list_size(&self, e: EdgeId) -> usize {
-        self.lists[e.index()].len()
+        self.spans[e.index()].len()
     }
 
     /// Returns `true` if `c` is in the list of `e`.
     pub fn contains(&self, e: EdgeId, c: Color) -> bool {
-        self.lists[e.index()].binary_search(&c).is_ok()
-    }
-
-    /// Removes a color from the list of `e` (used when an adjacent edge takes
-    /// that color). Returns `true` if the color was present.
-    pub fn remove(&mut self, e: EdgeId, c: Color) -> bool {
-        match self.lists[e.index()].binary_search(&c) {
-            Ok(pos) => {
-                self.lists[e.index()].remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Replaces the list of `e`.
-    pub fn set_list(&mut self, e: EdgeId, mut list: Vec<Color>) {
-        list.retain(|c| *c < self.space_size);
-        list.sort_unstable();
-        list.dedup();
-        self.lists[e.index()] = list;
+        self.list(e).binary_search(&c).is_ok()
     }
 
     /// The fraction `λ_e` of the list of `e` that falls in the first half of
@@ -120,7 +134,7 @@ impl ListAssignment {
     /// This is the quantity the LOCAL algorithm of Section 7 uses to decide
     /// how to split each edge between the two halves of the color space.
     pub fn red_fraction(&self, e: EdgeId, lo: Color, mid: Color, hi: Color) -> f64 {
-        let list = &self.lists[e.index()];
+        let list = self.list(e);
         let total = list.iter().filter(|c| **c >= lo && **c < hi).count();
         if total == 0 {
             return 0.5;
@@ -131,7 +145,7 @@ impl ListAssignment {
 
     /// Number of colors of `e`'s list inside `[lo, hi)`.
     pub fn count_in_range(&self, e: EdgeId, lo: Color, hi: Color) -> usize {
-        self.lists[e.index()]
+        self.list(e)
             .iter()
             .filter(|c| **c >= lo && **c < hi)
             .count()
@@ -203,15 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_contains() {
-        let mut lists = ListAssignment::new(10, vec![vec![1, 2, 3]]);
-        assert!(lists.remove(EdgeId::new(0), 2));
-        assert!(!lists.remove(EdgeId::new(0), 2));
-        assert!(!lists.contains(EdgeId::new(0), 2));
-        assert_eq!(lists.list_size(EdgeId::new(0)), 2);
-    }
-
-    #[test]
     fn red_fraction_and_range_counts() {
         let lists = ListAssignment::new(10, vec![vec![0, 1, 2, 7, 8, 9]]);
         let e = EdgeId::new(0);
@@ -240,10 +245,23 @@ mod tests {
     }
 
     #[test]
-    fn set_list_replaces() {
-        let g = path4();
-        let mut lists = ListAssignment::full_palette(&g, 4);
-        lists.set_list(EdgeId::new(0), vec![9, 2, 2, 1]);
-        assert_eq!(lists.list(EdgeId::new(0)), &[1, 2]);
+    fn pooled_instances_equal_their_explicit_lists() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)]).unwrap();
+        let explicit = |lists: Vec<Vec<Color>>, space| ListAssignment::new(space, lists);
+        let full = ListAssignment::full_palette(&g, 4);
+        assert_eq!(full, explicit(vec![(0..4).collect(); g.m()], 4));
+        let dp1 = ListAssignment::degree_plus_one(&g);
+        let lists = g
+            .edges()
+            .map(|e| (0..=g.edge_degree(e)).collect())
+            .collect();
+        assert_eq!(dp1, explicit(lists, g.max_edge_degree() + 1));
+        // Equality is semantic: a different list or color space differs.
+        assert_ne!(full, ListAssignment::full_palette(&g, 5));
+        let mut lists: Vec<Vec<Color>> = vec![(0..4).collect(); g.m()];
+        lists[2] = vec![0, 1, 3];
+        assert_ne!(full, explicit(lists, 4));
+        assert_ne!(full, explicit(vec![(0..4).collect(); g.m() - 1], 4));
+        assert_ne!(explicit(vec![vec![0, 1]], 4), explicit(vec![vec![0, 2]], 4));
     }
 }

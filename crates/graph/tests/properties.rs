@@ -86,6 +86,30 @@ proptest! {
     }
 
     #[test]
+    fn edge_subgraph_equals_from_edges_on_the_kept_pairs(
+        (g, mask, density) in arb_graph().prop_flat_map(|g| {
+            let m = g.m();
+            (Just(g), collection::vec(0u8..4, m), 0u8..5)
+        })
+    ) {
+        // The CSR filter must build exactly the graph `from_edges` builds
+        // from the kept endpoint pairs in edge order, with the same map.
+        let keep = |e: distgraph::EdgeId| mask[e.index()] < density;
+        let (sub, map) = g.edge_subgraph(keep);
+        let kept: Vec<distgraph::EdgeId> = g.edges().filter(|&e| keep(e)).collect();
+        let pairs: Vec<(usize, usize)> = kept
+            .iter()
+            .map(|&e| {
+                let (u, v) = g.endpoints(e);
+                (u.index(), v.index())
+            })
+            .collect();
+        let expected = Graph::from_edges(g.n(), &pairs).expect("kept pairs are valid");
+        prop_assert_eq!(sub, expected);
+        prop_assert_eq!(map, kept);
+    }
+
+    #[test]
     fn degree_plus_one_lists_always_satisfy_invariant(g in arb_graph()) {
         let lists = ListAssignment::degree_plus_one(&g);
         prop_assert!(lists.is_degree_plus_one(&g));

@@ -8,7 +8,7 @@
 //! * [`ExecutionPolicy`] — the knob selecting sequential or multi-threaded
 //!   round execution; carried by [`Network`](crate::Network) and accepted by
 //!   [`run_program_with`](crate::run_program_with).
-//! * [`map_node_chunks`] — the chunked fork/join primitive: the node range
+//! * [`map_chunks`] — the chunked fork/join primitive: the node range
 //!   `0..n` is split into contiguous chunks, run on at most
 //!   [`ExecutionPolicy::effective_threads`] `std::thread::scope` workers
 //!   (each draining consecutive chunks), and the per-chunk results are
@@ -222,26 +222,15 @@ impl Chunks {
     }
 }
 
-/// Applies `f` to every chunk of `0..n` and returns the results in chunk
-/// order.
+/// Applies `f` to every chunk of `chunks` (e.g. a degree-weighted
+/// geometry) and returns the results in chunk order.
 ///
 /// With a sequential policy (or a single chunk) `f` runs on the calling
 /// thread; otherwise the chunks run concurrently on at most
-/// [`ExecutionPolicy::effective_threads`] scoped workers. A
-/// panic inside a worker is re-raised on the calling thread with its original
-/// payload (the first panicking chunk in chunk order wins), so assertion
-/// messages match the sequential path.
-pub fn map_node_chunks<T, F>(n: usize, policy: ExecutionPolicy, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    map_chunks(&Chunks::new(n, policy.threads()), policy, f)
-}
-
-/// [`map_node_chunks`] over an explicit, caller-owned chunk geometry (e.g. a
-/// degree-weighted one). Results are returned in chunk order; worker panics
-/// re-raise on the calling thread with the first panicking chunk's payload.
+/// [`ExecutionPolicy::effective_threads`] scoped workers. A panic inside a
+/// worker is re-raised on the calling thread with its original payload (the
+/// first panicking chunk in chunk order wins), so assertion messages match
+/// the sequential path.
 pub fn map_chunks<T, F>(chunks: &Chunks, policy: ExecutionPolicy, f: F) -> Vec<T>
 where
     T: Send,
@@ -510,33 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn map_node_chunks_preserves_chunk_order() {
-        for policy in [
-            ExecutionPolicy::Sequential,
-            ExecutionPolicy::parallel(2),
-            ExecutionPolicy::parallel(5),
-        ] {
-            let sums = map_node_chunks(20, policy, |range| range.sum::<usize>());
-            assert_eq!(sums.iter().sum::<usize>(), (0..20).sum::<usize>());
-            // Each chunk's sum corresponds to a contiguous range, and the
-            // chunk order matches the range order.
-            let chunks = Chunks::new(20, policy.threads());
-            let expected: Vec<usize> = chunks
-                .ranges()
-                .into_iter()
-                .map(|r| r.sum::<usize>())
-                .collect();
-            assert_eq!(sums, expected);
-        }
-    }
-
-    #[test]
-    fn map_node_chunks_handles_empty_input() {
-        let out = map_node_chunks(0, ExecutionPolicy::parallel(4), |range| range.len());
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
     fn for_each_chunk_mut_partitions_items() {
         for policy in [ExecutionPolicy::Sequential, ExecutionPolicy::parallel(3)] {
             let mut items = vec![0usize; 11];
@@ -557,7 +519,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom 3")]
     fn worker_panics_propagate_with_payload() {
-        map_node_chunks(8, ExecutionPolicy::parallel(4), |range| {
+        let policy = ExecutionPolicy::parallel(4);
+        map_chunks(&Chunks::new(8, policy.threads()), policy, |range| {
             if range.contains(&3) {
                 panic!("boom 3");
             }

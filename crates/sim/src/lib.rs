@@ -61,7 +61,7 @@ mod program;
 
 pub use executor::{
     for_each_chunk_mut, for_each_chunk_mut_in, host_parallelism, map_chunks, map_chunks_with,
-    map_node_chunks, Chunks, ExecutionPolicy,
+    Chunks, ExecutionPolicy,
 };
 pub use faults::{AsyncScheduler, CrashWindow, FaultPlan, FaultRates, FaultStats, LinkPartition};
 pub use identifiers::IdAssignment;
