@@ -1,6 +1,6 @@
 # Verification entry points for the edge-coloring reproduction workspace.
 
-.PHONY: verify verify-fast build test clippy fmt bench-check examples doc perfbench-check bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
+.PHONY: verify verify-fast build test clippy fmt bench-check examples doc perfbench-check pin-rr16 bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
 
 # The full gate: tier-1 (release build + tests) plus lints, formatting,
 # bench compilation, example compilation, the rustdoc gate and the
@@ -39,6 +39,12 @@ doc:
 # its own, so the root `cargo test` does not reach it).
 perfbench-check:
 	cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
+# The release-mode pin of the benchmark instance: the ignored tests, among
+# them the `color_rr16` coloring of random_regular(65536,16,1) checked
+# against its recorded fingerprint, rounds, messages, bits and colors.
+pin-rr16:
+	cargo test --release -- --ignored
 
 # The measured baseline: quick E1–E11 sweeps plus the full-size SCALE
 # experiment (million-edge graphs at 1/2/4/8 threads), the DYN dynamic

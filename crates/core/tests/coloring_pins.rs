@@ -157,3 +157,31 @@ fn theorem_1_1_colorings_are_pinned_under_every_policy() {
         }
     }
 }
+
+/// The benchmark instance: `color_edges_local` on `random_regular(65536,16,1)`
+/// with scattered ids (seed 1) and `ColoringParams::new(0.5)`, as the
+/// `color_rr16` workload runs it. Too slow for a debug build, so it is
+/// ignored by default; `make pin-rr16` runs it in release mode.
+#[test]
+#[ignore = "release-mode pin of the benchmark instance; run with `make pin-rr16`"]
+fn benchmark_instance_rr16_is_pinned() {
+    let graph = generators::random_regular(65_536, 16, 1).expect("feasible regular instance");
+    let ids = IdAssignment::scattered(graph.n(), 1);
+    let outcome = color_edges_local(&graph, &ids, &ColoringParams::new(0.5)).expect("valid");
+    assert!(outcome.coloring.is_complete(), "incomplete coloring");
+    let got = Pin {
+        fingerprint: fingerprint(&outcome.coloring),
+        rounds: outcome.metrics.rounds,
+        messages: outcome.metrics.messages,
+        total_bits: outcome.metrics.total_bits,
+        colors_used: outcome.colors_used,
+    };
+    let expected = Pin {
+        fingerprint: 0xe1ffa65933bc3435,
+        rounds: 985,
+        messages: 53576603,
+        total_bits: 565913188,
+        colors_used: 21,
+    };
+    assert_eq!(got, expected, "fingerprint {:#018x}", got.fingerprint);
+}
