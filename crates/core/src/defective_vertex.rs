@@ -17,8 +17,18 @@
 //! `t·Δ/q ≤ d_step` to its defect while shrinking the palette to `q²`
 //! (see DESIGN.md for the substitution notes versus the exact procedure
 //! of \[11\]).
+//!
+//! A step evaluates every node's polynomial at every point of `F_q` once,
+//! into an `n × q` table ([`crate::linial`]'s `poly_table`), and each node
+//! counts its collisions one neighbor at a time by comparing that
+//! neighbor's row with its own. A message reads its sender's row only when
+//! it carries the sender's current color, which always holds without a
+//! fault plan. A delayed or duplicated message from an earlier round can
+//! carry another color; the step then evaluates the color it received, so
+//! the chosen point is the one the per-point evaluation of every received
+//! color would pick, with or without faults.
 
-use crate::linial::{eval_poly, next_prime};
+use crate::linial::{eval_poly, next_prime, poly_table};
 use distgraph::{Graph, NodeId, VertexColoring};
 use distsim::{LedgerEntry, Network};
 
@@ -76,25 +86,38 @@ pub fn defective_step(
         return (colors.to_vec(), palette, 0.0);
     }
     let mail = net.broadcast(|v| colors[v.index()]);
+    let table = poly_table(colors, t, q);
+    let width = q as usize;
+    let row = |v: usize| &table[v * width..][..width];
+    let mut collisions = vec![0u32; width];
     let mut next = vec![0u64; graph.n()];
     for v in graph.nodes() {
         let my_color = colors[v.index()];
-        let inbox = mail.inbox(v);
-        // Pick the evaluation point minimizing collisions with neighbors of a
+        let mine = row(v.index());
+        // Count, per evaluation point, the collisions with neighbors of a
         // *different* color (same-colored neighbors collide everywhere and are
-        // already accounted in the incoming defect).
-        let mut best = (usize::MAX, 0u64, 0u64);
-        for a in 0..q {
-            let mine = eval_poly(my_color, t, q, a);
-            let collisions = inbox
-                .iter()
-                .filter(|m| m.msg != my_color && eval_poly(m.msg, t, q, a) == mine)
-                .count();
-            if collisions < best.0 {
-                best = (collisions, a, mine);
+        // already accounted in the incoming defect), one neighbor at a time.
+        collisions.fill(0);
+        for m in mail.inbox(v).iter().filter(|m| m.msg != my_color) {
+            if m.msg == colors[m.from.index()] {
+                for ((count, &theirs), &own) in
+                    collisions.iter_mut().zip(row(m.from.index())).zip(mine)
+                {
+                    *count += u32::from(theirs == own);
+                }
+            } else {
+                // A faulty round delivered some other color (a delayed or
+                // stale message): evaluate what was actually received.
+                for ((count, &own), a) in collisions.iter_mut().zip(mine).zip(0u64..) {
+                    *count += u32::from(eval_poly(m.msg, t, q, a) == u64::from(own));
+                }
             }
         }
-        next[v.index()] = best.1 * q + best.2;
+        // The first point with the fewest collisions.
+        let best = (0..width)
+            .min_by_key(|&a| collisions[a])
+            .expect("F_q has at least two points");
+        next[v.index()] = best as u64 * q + u64::from(mine[best]);
     }
     let added_defect = t as f64 * max_degree as f64 / q as f64;
     (next, new_palette, added_defect)
@@ -391,7 +414,10 @@ mod tests {
     use super::*;
     use crate::linial::linial_coloring;
     use distgraph::generators;
-    use distsim::{IdAssignment, Model};
+    use distsim::{FaultPlan, IdAssignment, Model};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn proper_coloring(graph: &Graph) -> (VertexColoring, usize) {
         let ids = IdAssignment::contiguous(graph.n());
@@ -507,5 +533,144 @@ mod tests {
         let result = low_defect_constant_coloring(&g, &proper, palette, &mut net);
         assert_eq!(net.metrics().congest_violations, 0);
         assert!(result.palette > 0);
+    }
+
+    /// Reference reduction step, point-major: for every point, every
+    /// receiver evaluates the polynomial of every color it received.
+    fn point_major_step(
+        graph: &Graph,
+        colors: &[u64],
+        palette: u64,
+        d_step: usize,
+        net: &mut Network<'_>,
+    ) -> (Vec<u64>, u64, f64) {
+        let max_degree = graph.max_degree();
+        let (t, q) = choose_defective_parameters(palette, max_degree, d_step);
+        let new_palette = q * q;
+        if new_palette >= palette {
+            return (colors.to_vec(), palette, 0.0);
+        }
+        let mail = net.broadcast(|v| colors[v.index()]);
+        let mut next = vec![0u64; graph.n()];
+        for v in graph.nodes() {
+            let my_color = colors[v.index()];
+            let inbox = mail.inbox(v);
+            let mut best = (usize::MAX, 0u64, 0u64);
+            for a in 0..q {
+                let mine = eval_poly(my_color, t, q, a);
+                let collisions = inbox
+                    .iter()
+                    .filter(|m| m.msg != my_color && eval_poly(m.msg, t, q, a) == mine)
+                    .count();
+                if collisions < best.0 {
+                    best = (collisions, a, mine);
+                }
+            }
+            next[v.index()] = best.1 * q + best.2;
+        }
+        let added_defect = t as f64 * max_degree as f64 / q as f64;
+        (next, new_palette, added_defect)
+    }
+
+    /// A fault plan that delays and duplicates messages, so some inboxes of
+    /// a round hold colors sent in the round before.
+    fn delaying_plan(seed: u64) -> FaultPlan {
+        FaultPlan::new(seed)
+            .with_duplicate_rate(0.2)
+            .with_delay_rate(0.3, 1)
+    }
+
+    /// Runs [`defective_step`] and [`point_major_step`] on twin networks
+    /// (with the same fault plan and a stale warm-up round when `faulty`)
+    /// and asserts equal colors, palettes, defects and metrics.
+    fn step_matches_point_major(
+        graph: &Graph,
+        colors: &[u64],
+        palette: u64,
+        d_step: usize,
+        faulty: bool,
+    ) {
+        let mut nets = [
+            Network::new(graph, Model::Local),
+            Network::new(graph, Model::Local),
+        ];
+        if faulty {
+            for net in &mut nets {
+                net.install_faults(delaying_plan(palette));
+                net.broadcast(|v| colors[v.index()] ^ 1);
+            }
+        }
+        let [table_net, point_net] = &mut nets;
+        let got = defective_step(graph, colors, palette, d_step, table_net);
+        let expected = point_major_step(graph, colors, palette, d_step, point_net);
+        assert_eq!(got, expected, "palette {palette}, d_step {d_step}");
+        assert_eq!(table_net.metrics(), point_net.metrics());
+    }
+
+    /// A random graph with a random (not necessarily proper) coloring.
+    fn random_instance(n: usize, p: f64, palette: u64, seed: u64) -> (Graph, Vec<u64>) {
+        let graph = generators::erdos_renyi(n, p, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let colors = (0..n).map(|_| rng.gen_range(0..palette)).collect();
+        (graph, colors)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every table entry is the polynomial's value at its point.
+        #[test]
+        fn poly_table_matches_eval_poly(
+            colors in proptest::collection::vec(0u64..u64::MAX, 0..6),
+            t in 1u32..6,
+            q in 2u64..300,
+        ) {
+            let table = poly_table(&colors, t, q);
+            prop_assert_eq!(table.len(), colors.len() * q as usize);
+            for (i, &color) in colors.iter().enumerate() {
+                for a in 0..q {
+                    let entry = u64::from(table[i * q as usize + a as usize]);
+                    prop_assert_eq!(entry, eval_poly(color, t, q, a));
+                }
+            }
+        }
+
+        /// The neighbor-major step picks the same point, with the same
+        /// tie-break, as the point-major loop.
+        #[test]
+        fn defective_step_matches_point_major_loop(
+            n in 2usize..60,
+            p in 0.05f64..0.6,
+            palette in 2u64..100_000,
+            d_step in 1usize..12,
+            seed in 0u64..1 << 32,
+        ) {
+            let (graph, colors) = random_instance(n, p, palette, seed);
+            step_matches_point_major(&graph, &colors, palette, d_step, false);
+        }
+    }
+
+    #[test]
+    fn defective_step_matches_point_major_loop_under_faults() {
+        for seed in 0..12u64 {
+            let palette = 5_000 + 997 * seed;
+            let (graph, colors) = random_instance(40, 0.3, palette, seed);
+            // The same plan and warm-up round on a third network deliver
+            // stale colors in the step's round, so the step's `eval_poly`
+            // branch runs.
+            let mut probe = Network::new(&graph, Model::Local);
+            probe.install_faults(delaying_plan(palette));
+            probe.broadcast(|v| colors[v.index()] ^ 1);
+            let mail = probe.broadcast(|v| colors[v.index()]);
+            let stale = graph
+                .nodes()
+                .flat_map(|v| mail.inbox(v))
+                .filter(|m| m.msg != colors[m.from.index()])
+                .count();
+            assert!(stale > 0, "seed {seed}: no stale message delivered");
+            for d_step in [2, 5, 9] {
+                step_matches_point_major(&graph, &colors, palette, d_step, true);
+            }
+        }
     }
 }

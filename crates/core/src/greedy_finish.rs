@@ -27,6 +27,59 @@ pub struct GreedyOutcome {
     pub rounds: u64,
 }
 
+/// Edges grouped by a class label in one counting pass: the edges of class
+/// `c` are `edges[offsets[c]..offsets[c + 1]]`, in the order they were
+/// given.
+///
+/// A schedule-based pass visits its classes in increasing order and, within
+/// a class, its edges in a fixed order; grouping them once makes the pass
+/// O(edges + classes) instead of one scan of every edge per class.
+pub(crate) struct EdgeClasses {
+    offsets: Vec<usize>,
+    edges: Vec<EdgeId>,
+}
+
+impl EdgeClasses {
+    /// Groups `(class, edge)` pairs by class, keeping the pairs' order
+    /// within each class.
+    pub(crate) fn new(labelled: impl IntoIterator<Item = (usize, EdgeId)>) -> Self {
+        let pairs: Vec<(usize, EdgeId)> = labelled.into_iter().collect();
+        let classes = pairs.iter().map(|&(c, _)| c + 1).max().unwrap_or(0);
+        let mut offsets = vec![0usize; classes + 1];
+        for &(c, _) in &pairs {
+            offsets[c + 1] += 1;
+        }
+        for c in 0..classes {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..classes].to_vec();
+        let mut edges = vec![EdgeId::new(0); pairs.len()];
+        for (c, e) in pairs {
+            edges[cursor[c]] = e;
+            cursor[c] += 1;
+        }
+        EdgeClasses { offsets, edges }
+    }
+
+    /// Groups `edges` by their color in `schedule`, skipping uncolored ones.
+    pub(crate) fn by_schedule(
+        schedule: &EdgeColoring,
+        edges: impl IntoIterator<Item = EdgeId>,
+    ) -> Self {
+        Self::new(
+            edges
+                .into_iter()
+                .filter_map(|e| schedule.color(e).map(|c| (c, e))),
+        )
+    }
+
+    /// The classes in increasing order, each with its edges (empty classes
+    /// below the largest one included).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[EdgeId]> + '_ {
+        self.offsets.windows(2).map(|w| &self.edges[w[0]..w[1]])
+    }
+}
+
 /// An `O(Δ²)`-edge coloring of a 2-colored bipartite graph computed in one
 /// round: the color of an edge is the pair (port index at its `U` endpoint,
 /// port index at its `V` endpoint).
@@ -86,16 +139,16 @@ pub fn greedy_list_coloring_by_schedule(
         "the schedule must be a proper edge coloring"
     );
 
-    let classes = schedule.palette_size();
     let mut colored = 0usize;
     let mut uncolorable = Vec::new();
     let rounds_before = net.rounds();
     let message_bits = bits_for(lists.space_size().max(2) as u64) as u64;
 
-    for class in 0..classes {
-        let mut class_edges: Vec<EdgeId> = graph
-            .edges()
-            .filter(|&e| schedule.color(e) == Some(class) && !coloring.is_colored(e) && eligible(e))
+    for class in EdgeClasses::by_schedule(schedule, graph.edges()).iter() {
+        let class_edges: Vec<EdgeId> = class
+            .iter()
+            .copied()
+            .filter(|&e| !coloring.is_colored(e) && eligible(e))
             .collect();
         if class_edges.is_empty() {
             continue;
@@ -105,7 +158,6 @@ pub fn greedy_list_coloring_by_schedule(
         // is the announcement of the newly picked color).
         net.charge_rounds(1);
         net.charge_messages(2 * class_edges.len() as u64, message_bits);
-        class_edges.sort_unstable();
         for e in class_edges {
             let used = coloring.colors_around(graph, e);
             match lists.list(e).iter().copied().find(|c| !used.contains(c)) {
@@ -281,6 +333,18 @@ mod tests {
         assert_eq!(outcome.colored, 2);
         assert_eq!(outcome.uncolorable.len(), 1);
         check_proper_edge_coloring(&g, &coloring).assert_ok();
+    }
+
+    #[test]
+    fn edge_classes_keep_input_order_within_each_class() {
+        let labelled = [(2, 5), (0, 9), (2, 1), (0, 3), (4, 7), (2, 8)];
+        let classes = EdgeClasses::new(labelled.map(|(c, e)| (c, EdgeId::new(e))));
+        let got: Vec<Vec<usize>> = classes
+            .iter()
+            .map(|class| class.iter().map(|e| e.index()).collect())
+            .collect();
+        assert_eq!(got, [vec![9, 3], vec![], vec![5, 1, 8], vec![], vec![7]]);
+        assert_eq!(EdgeClasses::new([]).iter().count(), 0);
     }
 
     #[test]

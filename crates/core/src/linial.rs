@@ -96,6 +96,34 @@ pub(crate) fn eval_poly(color: u64, t: u32, q: u64, a: u64) -> u64 {
     acc
 }
 
+/// Every color's polynomial at every point of `F_q`, row-major: entry
+/// `i·q + a` is `eval_poly(colors[i], t, q, a)`.
+///
+/// Each row splits its color into digits once and runs Horner's rule per
+/// point, so a step that compares one node's polynomial against many
+/// neighbors reads a row instead of re-evaluating it per neighbor.
+pub(crate) fn poly_table(colors: &[u64], t: u32, q: u64) -> Vec<u32> {
+    assert!(
+        q <= u64::from(u32::MAX),
+        "field size {q} does not fit a u32"
+    );
+    let width = q as usize;
+    let mut table = vec![0u32; colors.len() * width];
+    let mut digits = vec![0u64; t as usize + 1];
+    for (row, &color) in table.chunks_exact_mut(width).zip(colors) {
+        let mut rest = color;
+        for digit in digits.iter_mut() {
+            *digit = rest % q;
+            rest /= q;
+        }
+        for (a, slot) in (0u64..).zip(row.iter_mut()) {
+            let value = digits.iter().rev().fold(0, |acc, &d| (acc * a + d) % q);
+            *slot = value as u32;
+        }
+    }
+    table
+}
+
 /// One Linial color-reduction step: from a proper coloring with palette `m`
 /// to a proper coloring with palette `q²` where `q = nextprime(tΔ + 1)`.
 /// Costs one communication round (each node broadcasts its current color).

@@ -40,14 +40,14 @@
 use crate::defective_edge::defective_two_edge_coloring;
 use crate::defective_vertex::defective_four_coloring;
 use crate::error::ColoringError;
-use crate::greedy_finish::port_pair_edge_coloring;
+use crate::greedy_finish::{port_pair_edge_coloring, EdgeClasses};
 use crate::linial::{linial_coloring, linial_edge_coloring};
 use crate::params::ColoringParams;
 use distgraph::{
     BipartiteGraph, Color, EdgeColoring, EdgeId, Graph, ListAssignment, Side, VertexColoring,
 };
 use distsim::{IdAssignment, LedgerEntry, Metrics, Model, Network, RoundLedger};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Statistics and output of a (degree+1)-list edge coloring run.
 #[derive(Debug, Clone)]
@@ -141,16 +141,28 @@ impl<'a> PartialColoring<'a> {
     }
 }
 
-/// The number of edges adjacent to `e` in `graph` that satisfy `keep`,
-/// counted over both endpoints' adjacency slices.
-fn adjacent_count(graph: &Graph, e: EdgeId, keep: impl Fn(EdgeId) -> bool) -> usize {
-    let (u, v) = graph.endpoints(e);
-    graph
-        .neighbors(u)
-        .iter()
-        .chain(graph.neighbors(v))
-        .filter(|nb| nb.edge != e && keep(nb.edge))
-        .count()
+/// Sets `degree[e]`, for every edge `e` of `bucket`, to the number of other
+/// edges of `bucket` that share an endpoint with `e`.
+///
+/// Each node counts the bucket edges that meet it; `e = (u, v)` then meets
+/// `count[u] − 1` others at `u` and `count[v] − 1` at `v`. No edge is
+/// counted at both ends because every [`Graph`] is simple (no parallel
+/// edges). `count` must be all zero on entry and is all zero again on exit.
+fn bucket_degrees(graph: &Graph, bucket: &[EdgeId], count: &mut [u32], degree: &mut [usize]) {
+    for &e in bucket {
+        let (u, v) = graph.endpoints(e);
+        count[u.index()] += 1;
+        count[v.index()] += 1;
+    }
+    for &e in bucket {
+        let (u, v) = graph.endpoints(e);
+        degree[e.index()] = (count[u.index()] + count[v.index()] - 2) as usize;
+    }
+    for &e in bucket {
+        let (u, v) = graph.endpoints(e);
+        count[u.index()] = 0;
+        count[v.index()] = 0;
+    }
 }
 
 /// Solves a slack-`S` list edge coloring instance `P(Δ̄, S, C)` on a 2-colored
@@ -184,6 +196,7 @@ fn solve_slack_instance(
     // phase at which the edge became passive (None = still active).
     let mut interval: Vec<(Color, Color)> = vec![(0, space); m];
     let mut passive_at: Vec<Option<u32>> = vec![None; m];
+    let mut count = vec![0u32; piece.n()];
     let rounds_before = net.rounds();
 
     for phase in 1..=levels {
@@ -196,13 +209,13 @@ fn solve_slack_instance(
         if active_edges.is_empty() {
             break;
         }
-        let mut active_degree = vec![0usize; m];
+        let mut groups: BTreeMap<(Color, Color), Vec<EdgeId>> = BTreeMap::new();
         for &e in &active_edges {
-            active_degree[e.index()] = adjacent_count(piece, e, |f| {
-                passive_at[f.index()].is_none()
-                    && interval[f.index()] == interval[e.index()]
-                    && !state.is_colored(edge_map[f.index()])
-            });
+            groups.entry(interval[e.index()]).or_default().push(e);
+        }
+        let mut active_degree = vec![0usize; m];
+        for edges in groups.values() {
+            bucket_degrees(piece, edges, &mut count, &mut active_degree);
         }
         // Edges whose active degree fell below the threshold become passive.
         for &e in &active_edges {
@@ -210,15 +223,10 @@ fn solve_slack_instance(
                 passive_at[e.index()] = Some(phase);
             }
         }
-        // Group the remaining active edges by interval and split each group.
-        let mut groups: BTreeMap<(Color, Color), Vec<EdgeId>> = BTreeMap::new();
-        for &e in &active_edges {
-            if passive_at[e.index()].is_none() {
-                groups.entry(interval[e.index()]).or_default().push(e);
-            }
-        }
+        // Split each interval's remaining active edges.
         let mut group_metrics: Vec<Metrics> = Vec::new();
-        for ((lo, hi), edges) in groups {
+        for ((lo, hi), mut edges) in groups {
+            edges.retain(|e| passive_at[e.index()].is_none());
             if hi - lo <= 1 || edges.is_empty() {
                 continue;
             }
@@ -298,12 +306,9 @@ fn solve_slack_instance(
         .collect();
     // Sort: active edges (key 0) first, then passive in reverse phase order.
     order.sort_by_key(|&(key, e)| (key, e));
-    for class in 0..schedule.palette_size() {
+    for class in EdgeClasses::by_schedule(&schedule, order.into_iter().map(|(_, e)| e)).iter() {
         let mut any = false;
-        for &(_, e) in &order {
-            if schedule.color(e) != Some(class) {
-                continue;
-            }
+        for &e in class {
             let host_edge = edge_map[e.index()];
             if state.is_colored(host_edge) {
                 continue;
@@ -389,12 +394,21 @@ fn amplify_slack(
     let split_eps = (2.0 * params.eps).clamp(1e-3, 1.0);
 
     // An uncolored edge qualifies as slack-S in its group when its available
-    // list is S times larger than its uncolored in-group degree.
-    let qualifies = |state: &PartialColoring<'_>, group: &[usize], e: EdgeId| -> bool {
-        let in_group_degree = adjacent_count(piece, e, |f| {
-            group[f.index()] == group[e.index()] && !state.is_colored(edge_map[f.index()])
-        });
-        state.available(edge_map[e.index()]).count() as f64 > SLACK_S * in_group_degree as f64
+    // list is S times larger than its uncolored in-group degree, which
+    // `bucket_degrees` writes into `degree` for the uncolored edges of each
+    // group.
+    let mut count = vec![0u32; piece.n()];
+    let mut degree = vec![0usize; piece.m()];
+    let uncolored_by_group = |state: &PartialColoring<'_>, group: &[usize]| {
+        EdgeClasses::new(
+            piece
+                .edges()
+                .filter(|&e| !state.is_colored(edge_map[e.index()]))
+                .map(|e| (group[e.index()], e)),
+        )
+    };
+    let qualifies = |state: &PartialColoring<'_>, degree: &[usize], e: EdgeId| -> bool {
+        state.available(edge_map[e.index()]).count() as f64 > SLACK_S * degree[e.index()] as f64
     };
 
     // Level-by-level defective splitting of the still-uncolored piece edges.
@@ -406,15 +420,27 @@ fn amplify_slack(
     let mut group: Vec<usize> = vec![0; piece.m()];
     for _level in 0..levels {
         let level_rounds_before = net.rounds();
-        let uncolored_edges: Vec<EdgeId> = piece
-            .edges()
-            .filter(|&e| !state.is_colored(edge_map[e.index()]))
-            .collect();
-        if uncolored_edges.iter().all(|&e| qualifies(state, &group, e)) {
+        let groups = uncolored_by_group(state, &group);
+        for edges in groups.iter() {
+            bucket_degrees(piece, edges, &mut count, &mut degree);
+        }
+        if groups
+            .iter()
+            .flatten()
+            .all(|&e| qualifies(state, &degree, e))
+        {
             break;
         }
-        let groups_present: BTreeSet<usize> =
-            uncolored_edges.iter().map(|e| group[e.index()]).collect();
+        let uncolored = groups.iter().map(<[EdgeId]>::len).sum::<usize>();
+        // The groups present at the start of the level, in increasing order.
+        // Each split reads the live labels, so a group can take in edges
+        // that a smaller group's split just relabelled into it.
+        let groups_present: Vec<usize> = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, edges)| !edges.is_empty())
+            .map(|(g, _)| g)
+            .collect();
         let mut level_metrics: Vec<Metrics> = Vec::new();
         for g in groups_present {
             let (sub, sub_map) = bg
@@ -439,7 +465,7 @@ fn amplify_slack(
             depth,
             stage: "amplify-split",
             delta_level: piece.max_edge_degree(),
-            edges: uncolored_edges.len(),
+            edges: uncolored,
             rounds: net.rounds() - level_rounds_before,
             defect_ratio: f64::NAN,
             fallback: false,
@@ -447,20 +473,16 @@ fn amplify_slack(
     }
 
     // Process the groups sequentially; within each group, the qualifying
-    // edges form a slack-S instance for Lemma D.2.
-    let groups_present: BTreeSet<usize> = piece
-        .edges()
-        .filter(|&e| !state.is_colored(edge_map[e.index()]))
-        .map(|e| group[e.index()])
-        .collect();
-    for g in groups_present {
-        let selected: Vec<EdgeId> = piece
-            .edges()
-            .filter(|&e| {
-                group[e.index()] == g
-                    && !state.is_colored(edge_map[e.index()])
-                    && qualifies(state, &group, e)
-            })
+    // edges form a slack-S instance for Lemma D.2. A group's solve colors
+    // only its own edges, so the later groups' edges stay uncolored and
+    // their in-group degrees are unchanged; their available lists are read
+    // when their turn comes.
+    for edges in uncolored_by_group(state, &group).iter() {
+        bucket_degrees(piece, edges, &mut count, &mut degree);
+        let selected: Vec<EdgeId> = edges
+            .iter()
+            .copied()
+            .filter(|&e| qualifies(state, &degree, e))
             .collect();
         if selected.is_empty() {
             continue;
@@ -490,22 +512,24 @@ fn amplify_slack(
     // Fallback: if the degree target is still not met, greedily color every
     // edge whose uncolored degree exceeds the target (their lists always have
     // a free color thanks to the degree+1 invariant).
-    let heavy: Vec<EdgeId> = piece
+    let uncolored: Vec<EdgeId> = piece
         .edges()
-        .filter(|&e| {
-            !state.is_colored(edge_map[e.index()])
-                && adjacent_count(piece, e, |f| !state.is_colored(edge_map[f.index()]))
-                    > target_degree
-        })
+        .filter(|&e| !state.is_colored(edge_map[e.index()]))
+        .collect();
+    bucket_degrees(piece, &uncolored, &mut count, &mut degree);
+    let heavy: Vec<EdgeId> = uncolored
+        .into_iter()
+        .filter(|e| degree[e.index()] > target_degree)
         .collect();
     if !heavy.is_empty() {
         let rounds_before = net.rounds();
         let schedule = port_pair_edge_coloring(bg, net);
-        for class in 0..schedule.palette_size() {
+        let edges = heavy.len();
+        for class in EdgeClasses::by_schedule(&schedule, heavy).iter() {
             let mut any = false;
-            for &e in &heavy {
+            for &e in class {
                 let host_edge = edge_map[e.index()];
-                if schedule.color(e) != Some(class) || state.is_colored(host_edge) {
+                if state.is_colored(host_edge) {
                     continue;
                 }
                 let first = state.available(host_edge).next();
@@ -523,7 +547,7 @@ fn amplify_slack(
             depth,
             stage: "amplify-fallback",
             delta_level: piece.max_edge_degree(),
-            edges: heavy.len(),
+            edges,
             rounds: fallback_rounds,
             defect_ratio: f64::NAN,
             fallback: true,
@@ -602,9 +626,12 @@ pub fn list_edge_coloring(
     });
     let finish_cutoff = params.low_degree_cutoff.max(4);
 
-    // Step 2: O(log Δ) degree-reduction iterations.
+    // Step 2: O(log Δ) degree-reduction iterations. Each iteration's residual
+    // uncolored subgraph is the next iteration's input, and the last one is
+    // the remainder of Step 3.
+    let mut uncolored_subgraph = graph.edge_subgraph(|e| !state.is_colored(e));
     for _ in 0..params.max_outer_iterations {
-        let (uncolored, edge_map) = graph.edge_subgraph(|e| !state.is_colored(e));
+        let (uncolored, edge_map) = &uncolored_subgraph;
         if uncolored.m() == 0 || uncolored.max_edge_degree() <= finish_cutoff {
             break;
         }
@@ -617,7 +644,7 @@ pub fn list_edge_coloring(
         // (4 classes, monochromatic degree ≈ Δ/2; see DESIGN.md).
         let base = VertexColoring::from_vec(linial.coloring.as_slice().to_vec());
         let d4_rounds_before = net.rounds();
-        let classes = defective_four_coloring(&uncolored, &base, linial.palette, 0.25, &mut net);
+        let classes = defective_four_coloring(uncolored, &base, linial.palette, 0.25, &mut net);
         net.record_ledger(LedgerEntry {
             depth,
             stage: "defective4",
@@ -679,7 +706,7 @@ pub fn list_edge_coloring(
         // Record the iteration's degree-reduction contract: the residual
         // uncolored degree must shrink by a constant factor per level for the
         // outer loop to stay O(log Δ).
-        let (residual, _) = graph.edge_subgraph(|e| !state.is_colored(e));
+        let (residual, residual_map) = graph.edge_subgraph(|e| !state.is_colored(e));
         let degree_after = residual.max_edge_degree();
         // Stall guard: the pipeline is deterministic, so an iteration that
         // colors no edge would recompute the identical defective coloring on
@@ -697,24 +724,22 @@ pub fn list_edge_coloring(
             defect_ratio: degree_after as f64 / degree_before.max(1) as f64,
             fallback: stalled,
         });
+        uncolored_subgraph = (residual, residual_map);
         if stalled {
             break;
         }
     }
 
     // Step 3: finish the low-degree remainder greedily from the lists.
-    let (rest, rest_map) = graph.edge_subgraph(|e| !state.is_colored(e));
+    let (rest, rest_map) = uncolored_subgraph;
     let finish_rounds_before = net.rounds();
     if rest.m() > 0 {
         let rest_ids = IdAssignment::from_vec(rest.nodes().map(|v| ids.id(v)).collect());
         let schedule = linial_edge_coloring(&rest, &rest_ids, &mut net);
         // Schedule classes on the remainder, choosing from the available lists.
-        for class in 0..schedule.palette_size() {
+        for class in EdgeClasses::by_schedule(&schedule, rest.edges()).iter() {
             let mut any = false;
-            for e in rest.edges() {
-                if schedule.color(e) != Some(class) {
-                    continue;
-                }
+            for &e in class {
                 let host_edge = rest_map[e.index()];
                 if state.is_colored(host_edge) {
                     continue;
@@ -985,8 +1010,76 @@ mod tests {
         }
     }
 
+    /// Reference degree, per edge: the edges adjacent to `e` in `graph`
+    /// that satisfy `keep`, counted over both endpoints' adjacency.
+    fn adjacent_count(graph: &Graph, e: EdgeId, keep: impl Fn(EdgeId) -> bool) -> usize {
+        let (u, v) = graph.endpoints(e);
+        graph
+            .neighbors(u)
+            .iter()
+            .chain(graph.neighbors(v))
+            .filter(|nb| nb.edge != e && keep(nb.edge))
+            .count()
+    }
+
+    /// A random simple graph with a random uncolored mask and random bucket
+    /// labels: the counter degree of every uncolored edge equals the number
+    /// of adjacent uncolored edges with its label.
+    fn bucket_degrees_against_reference(
+        n: usize,
+        pairs: &[(usize, usize)],
+        buckets: usize,
+        seed: u64,
+    ) {
+        let mut edges: Vec<(usize, usize)> = pairs
+            .iter()
+            .filter(|&&(u, v)| u < n && v < n && u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let graph = Graph::from_edges(n, &edges).expect("simple graph");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let uncolored: Vec<bool> = graph.edges().map(|_| rng.gen_bool(0.7)).collect();
+        let label: Vec<usize> = graph.edges().map(|_| rng.gen_range(0..buckets)).collect();
+        let classes = EdgeClasses::new(
+            graph
+                .edges()
+                .filter(|e| uncolored[e.index()])
+                .map(|e| (label[e.index()], e)),
+        );
+        let mut count = vec![0u32; graph.n()];
+        let mut degree = vec![usize::MAX; graph.m()];
+        for bucket in classes.iter() {
+            bucket_degrees(&graph, bucket, &mut count, &mut degree);
+        }
+        assert!(count.iter().all(|&c| c == 0), "counters not reset");
+        for e in graph.edges() {
+            if !uncolored[e.index()] {
+                assert_eq!(degree[e.index()], usize::MAX, "{e} is not in a bucket");
+                continue;
+            }
+            let expected = adjacent_count(&graph, e, |f| {
+                uncolored[f.index()] && label[f.index()] == label[e.index()]
+            });
+            assert_eq!(degree[e.index()], expected, "degree of {e}");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Per-node counters give every uncolored edge its degree among the
+        /// uncolored edges of its own bucket, as the adjacency scan does.
+        #[test]
+        fn bucket_degrees_match_adjacency_scan(
+            n in 2usize..24,
+            pairs in proptest::collection::vec((0usize..24, 0usize..24), 0..120),
+            buckets in 1usize..5,
+            seed in 0u64..1 << 48,
+        ) {
+            bucket_degrees_against_reference(n, &pairs, buckets, seed);
+        }
 
         /// The mask-derived available list equals `L_e` minus the colors
         /// around `e`, for list spaces below 64 colors (one word per node)
