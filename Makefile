@@ -1,13 +1,13 @@
 # Verification entry points for the edge-coloring reproduction workspace.
 
-.PHONY: verify verify-fast build test clippy fmt bench-check examples doc perfbench-check pin-rr16 bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
+.PHONY: verify verify-fast build test clippy fmt examples doc perfbench-check pin-rr16 bench bench-smoke bench-regression bench-rounds bench-io snapshot-fuzz serve-smoke serve-pipeline-smoke serve-fuzz
 
 # The full gate: tier-1 (release build + tests) plus lints, formatting,
-# bench compilation, example compilation, the rustdoc gate and the
-# benchmark's correctness gate.
-verify: build test clippy fmt bench-check examples doc perfbench-check
+# example compilation, the rustdoc gate and the benchmark's correctness
+# gate.
+verify: build test clippy fmt examples doc perfbench-check
 
-# The inner-loop gate: build + tier-1 tests only (no clippy/fmt/doc/bench
+# The inner-loop gate: build + tier-1 tests only (no clippy/fmt/doc/example
 # compilation). Use while iterating; run `make verify` before pushing.
 verify-fast: build test
 
@@ -22,9 +22,6 @@ clippy:
 
 fmt:
 	cargo fmt --check
-
-bench-check:
-	cargo bench --no-run
 
 examples:
 	cargo build --examples

@@ -1,5 +1,5 @@
 //! Prints the evaluation suite E1–E11 plus the SCALE/DYN/FAULT/IO/SERVE experiments
-//! (see DESIGN.md and EXPERIMENTS.md) and optionally serializes everything —
+//! (see docs/PAPER_MAP.md) and optionally serializes everything —
 //! tables and per-experiment wall-clock timings — to a machine-readable
 //! JSON file (the `BENCH_*.json` schema documented in docs/BENCH_SCHEMA.md).
 //!
@@ -14,6 +14,8 @@
 //!   cargo run --release -p edgecolor-bench --bin experiments -- rounds     # round-complexity gate: E1/E2/E3 only, quick-size
 //!   cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn fault io  # CI: tiny sweeps + tiny SCALE/DYN
 //!   cargo run --release -p edgecolor-bench --bin experiments -- quick scale dyn fault io --emit-json BENCH_1.json
+//!
+//! An unknown selector prints a usage line and exits with status 2.
 //!
 //! The CI `bench-regression` job additionally passes
 //! `--check-baseline BENCH_1.json --diff-out /tmp/diff.txt`: the freshly
@@ -59,33 +61,64 @@ struct TimedTable {
     wall_ms: f64,
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut emit_json: Option<String> = None;
-    let mut check_baseline: Option<String> = None;
-    let mut diff_out: Option<String> = None;
-    let mut selectors: Vec<String> = Vec::new();
+/// Every selector the binary understands; anything else is rejected.
+const SELECTORS: &[&str] = &[
+    "all", "quick", "smoke", "rounds", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+    "e11", "scale", "dyn", "fault", "io", "serve",
+];
+
+const USAGE: &str =
+    "usage: experiments [all|quick|smoke|rounds|e1..e11|scale|dyn|fault|io|serve]... \
+                     [--emit-json PATH] [--check-baseline PATH] [--diff-out PATH]";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    emit_json: Option<String>,
+    check_baseline: Option<String>,
+    diff_out: Option<String>,
+    /// Lower-cased experiment selectors, each one of [`SELECTORS`].
+    selectors: Vec<String>,
+}
+
+/// Parses the arguments after the program name. An unknown selector or a
+/// path flag without its path is an error, so a typo cannot silently run
+/// nothing.
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
     let mut iter = raw.into_iter();
     while let Some(arg) = iter.next() {
-        if arg == "--emit-json" {
-            let path = iter
-                .next()
-                .unwrap_or_else(|| panic!("--emit-json requires a path argument"));
-            emit_json = Some(path);
-        } else if arg == "--check-baseline" {
-            let path = iter
-                .next()
-                .unwrap_or_else(|| panic!("--check-baseline requires a path argument"));
-            check_baseline = Some(path);
-        } else if arg == "--diff-out" {
-            let path = iter
-                .next()
-                .unwrap_or_else(|| panic!("--diff-out requires a path argument"));
-            diff_out = Some(path);
-        } else {
-            selectors.push(arg.to_lowercase());
-        }
+        let slot = match arg.as_str() {
+            "--emit-json" => &mut args.emit_json,
+            "--check-baseline" => &mut args.check_baseline,
+            "--diff-out" => &mut args.diff_out,
+            _ => {
+                let selector = arg.to_lowercase();
+                if !SELECTORS.contains(&selector.as_str()) {
+                    return Err(format!("unknown selector `{arg}`"));
+                }
+                args.selectors.push(selector);
+                continue;
+            }
+        };
+        *slot = Some(
+            iter.next()
+                .ok_or_else(|| format!("{arg} requires a path argument"))?,
+        );
     }
+    Ok(args)
+}
+
+fn main() {
+    let Args {
+        emit_json,
+        check_baseline,
+        diff_out,
+        selectors,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("experiments: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
     let quick = selectors.iter().any(|a| a == "quick");
     let smoke = selectors.iter().any(|a| a == "smoke");
     // `rounds` is the round-complexity gate (`make bench-rounds`): only the
@@ -529,4 +562,36 @@ fn build_json(
         ("io", JsonValue::Arr(io_entries)),
         ("serve", JsonValue::Arr(serve_entries)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parser_accepts_selectors_and_path_flags() {
+        let args = parse(&["Quick", "scale", "e8", "--emit-json", "out.json"]).unwrap();
+        assert_eq!(args.selectors, ["quick", "scale", "e8"]);
+        assert_eq!(args.emit_json.as_deref(), Some("out.json"));
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+        for selector in SELECTORS {
+            assert!(parse(&[selector]).is_ok(), "{selector}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_unknown_selectors_and_missing_paths() {
+        // A typo and the retired `shard` selector used to run nothing and
+        // exit 0.
+        for bad in ["shard", "e12", "scael", "--emit"] {
+            let err = parse(&["quick", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        let err = parse(&["fault", "--diff-out"]).unwrap_err();
+        assert!(err.contains("--diff-out requires a path"), "{err}");
+    }
 }

@@ -1,22 +1,20 @@
 //! # edgecolor-bench
 //!
-//! The experiment harness regenerating the evaluation suite E1–E11 described
-//! in `DESIGN.md`. Each `run_eN` function returns one or more [`Table`]s; the
-//! `experiments` binary prints them and `EXPERIMENTS.md` records a reference
-//! run. The Criterion benches under `benches/` measure the wall-clock cost of
-//! the simulation itself.
+//! The experiment harness regenerating the evaluation suite E1–E11 and the
+//! SCALE, DYN, FAULT, IO and SERVE experiments. Each `run_*` function
+//! returns one or more [`Table`]s; the `experiments` binary prints them, and
+//! `make bench` records a reference run in `BENCH_1.json` (schema:
+//! docs/BENCH_SCHEMA.md; the paper result each experiment measures:
+//! docs/PAPER_MAP.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use distgraph::{
     generators::{self, UpdateScenario, UpdateStream},
-    DynamicGraph, EdgeId, Graph, ListAssignment, NodeId,
+    DynamicGraph, Graph, ListAssignment, NodeId,
 };
-use distsim::{
-    run_program_under_faults, run_program_with, ExecutionPolicy, FaultPlan, IdAssignment, Incoming,
-    Model, Network, NodeCtx, NodeProgram, Step,
-};
+use distsim::{ExecutionPolicy, FaultPlan, IdAssignment, Model, Network};
 use edgecolor::balanced_orientation::compute_balanced_orientation;
 use edgecolor::defective_edge::{
     defective_two_edge_coloring, measure_defect_ratio, uniform_lambda,
@@ -613,37 +611,56 @@ pub fn expected_speedup_floor(threads: usize, host_parallelism: usize) -> Option
     Some(if threads >= 4 { 2.0 } else { 1.05 })
 }
 
-/// The per-node program driven by the scale experiment: `rounds` rounds of
-/// max-identifier flooding. Every round every node scans its inbox and
-/// re-broadcasts the largest identifier seen, which makes each round's work
-/// proportional to the node's degree — the same profile as the paper's
-/// proposal/accept building blocks.
-struct ScaleFlood {
-    best: u64,
-    rounds_left: u32,
-}
-
-impl NodeProgram for ScaleFlood {
-    type Msg = u64;
-    type Output = u64;
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u64)> {
-        self.best = ctx.id;
-        ctx.ports.iter().map(|p| (p.edge, self.best)).collect()
-    }
-
-    fn round(&mut self, ctx: &NodeCtx, inbox: &[Incoming<u64>]) -> Step<u64, u64> {
-        for m in inbox {
-            if m.msg > self.best {
-                self.best = m.msg;
+/// The workload of the SCALE, FAULT and IO experiments: max-identifier
+/// flooding on `net`. Every node starts from its identifier; each round
+/// it keeps the largest identifier it has received and sends it to all
+/// neighbors, for `rounds` steps after the first round, then halts with
+/// it. Each round's work is proportional to the node's degree — the same
+/// profile as the paper's proposal/accept building blocks.
+///
+/// A node sends only if in the previous round it was live, had not halted
+/// and was outside a crash window of the installed fault plan
+/// ([`FaultPlan::is_crashed`]); a crashed node resumes with its state at
+/// restart. Runs until every node halted or `max_rounds` rounds were
+/// charged, and returns each node's output (`None` if it was still
+/// running).
+fn flood(
+    net: &mut Network<'_>,
+    ids: &IdAssignment,
+    rounds: u32,
+    max_rounds: u64,
+) -> Vec<Option<u64>> {
+    let graph = net.graph();
+    let mut best: Vec<u64> = graph.nodes().map(|v| ids.id(v)).collect();
+    let mut rounds_left = vec![rounds; graph.n()];
+    let mut sending = vec![true; graph.n()];
+    let mut outputs = vec![None; graph.n()];
+    while net.rounds() < max_rounds && outputs.iter().any(Option::is_none) {
+        let mail = net.exchange_sync(|v| {
+            if !sending[v.index()] {
+                return Vec::new();
+            }
+            let msg = best[v.index()];
+            graph.neighbors(v).iter().map(|nb| (nb.edge, msg)).collect()
+        });
+        let round = net.rounds();
+        let plan = net.fault_plan();
+        for v in graph.nodes() {
+            let i = v.index();
+            sending[i] = false;
+            if outputs[i].is_some() || plan.is_some_and(|p| p.is_crashed(v, round)) {
+                continue;
+            }
+            best[i] = mail.inbox(v).iter().fold(best[i], |b, m| b.max(m.msg));
+            if rounds_left[i] == 0 {
+                outputs[i] = Some(best[i]);
+            } else {
+                rounds_left[i] -= 1;
+                sending[i] = true;
             }
         }
-        if self.rounds_left == 0 {
-            return Step::Halt(self.best);
-        }
-        self.rounds_left -= 1;
-        Step::Send(ctx.ports.iter().map(|p| (p.edge, self.best)).collect())
     }
+    outputs
 }
 
 /// The graph suite of the scale experiment. With `million = true` the first
@@ -737,32 +754,23 @@ pub fn run_scale(thread_counts: &[usize], million: bool) -> (Table, Vec<ScaleMea
             for _ in 0..reps {
                 let allocs_before = alloc_events();
                 let started = Instant::now();
-                let this_run = run_program_with(
-                    &graph,
-                    &ids,
-                    Model::Local,
-                    policy,
-                    u64::from(FLOOD_ROUNDS) + 2,
-                    |_| ScaleFlood {
-                        best: 0,
-                        rounds_left: FLOOD_ROUNDS,
-                    },
-                );
+                let mut net = Network::with_policy(&graph, Model::Local, policy);
+                let outputs = flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 2);
                 wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
                 // The cheapest rep, like the best wall clock: later reps of
                 // a deterministic run repeat the same allocation sequence,
                 // minus any one-off lazy initialization of the first.
                 alloc_delta = alloc_delta.min(alloc_events() - allocs_before);
-                run = Some(this_run);
+                run = Some((outputs, net.metrics()));
             }
-            let run = run.expect("at least one repetition");
+            let (outputs, metrics) = run.expect("at least one repetition");
             let (identical, speedup) = match &reference {
                 None => {
-                    reference = Some((run.outputs.clone(), run.metrics, wall_ms));
+                    reference = Some((outputs, metrics, wall_ms));
                     (true, 1.0)
                 }
                 Some((ref_outputs, ref_metrics, ref_wall)) => (
-                    *ref_outputs == run.outputs && *ref_metrics == run.metrics,
+                    *ref_outputs == outputs && *ref_metrics == metrics,
                     ref_wall / wall_ms,
                 ),
             };
@@ -779,10 +787,10 @@ pub fn run_scale(thread_counts: &[usize], million: bool) -> (Table, Vec<ScaleMea
                 None
             };
             let meets_floor = speedup_floor.is_none_or(|floor| speedup >= floor);
-            let rounds_per_sec = run.metrics.rounds as f64 / (wall_ms / 1e3).max(1e-9);
+            let rounds_per_sec = metrics.rounds as f64 / (wall_ms / 1e3).max(1e-9);
             let bytes_per_round =
-                run.metrics.total_bits as f64 / 8.0 / (run.metrics.rounds as f64).max(1.0);
-            let allocs_per_round = alloc_delta / run.metrics.rounds.max(1);
+                metrics.total_bits as f64 / 8.0 / (metrics.rounds as f64).max(1.0);
+            let allocs_per_round = alloc_delta / metrics.rounds.max(1);
             table.push_row(vec![
                 name.clone(),
                 graph.n().to_string(),
@@ -804,8 +812,8 @@ pub fn run_scale(thread_counts: &[usize], million: bool) -> (Table, Vec<ScaleMea
                 wall_ms,
                 speedup_vs_sequential: speedup,
                 identical_to_sequential: identical,
-                rounds: run.metrics.rounds,
-                messages: run.metrics.messages,
+                rounds: metrics.rounds,
+                messages: metrics.messages,
                 rounds_per_sec,
                 bytes_per_round,
                 allocs_per_round,
@@ -988,7 +996,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// CI job diffs these rows *exactly* against the committed baseline.
 #[derive(Debug, Clone)]
 pub struct FaultMeasurement {
-    /// `"flood"` (a strict-layer program run under the adversary) or
+    /// `"flood"` (the max-identifier flood run under the adversary) or
     /// `"recovery"` (corruption + self-stabilizing repair of a coloring).
     pub workload: String,
     /// Graph description.
@@ -1108,43 +1116,27 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
     let params = ColoringParams::new(0.5);
     for (name, graph, plan) in fault_configs() {
         let ids = IdAssignment::scattered(graph.n(), 7);
-        let make = |_| ScaleFlood {
-            best: 0,
-            rounds_left: FLOOD_ROUNDS,
+        let flood_under = |policy| {
+            let mut net = Network::with_policy(&graph, Model::Local, policy);
+            net.install_faults(plan.clone());
+            let outputs = flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 6);
+            (outputs, net.metrics(), net.fault_stats())
         };
         // Flood under the adversary: sequential reference plus the policy
         // bit-identity assertion.
         let started = Instant::now();
-        let reference = run_program_under_faults(
-            &graph,
-            &ids,
-            Model::Local,
-            ExecutionPolicy::Sequential,
-            u64::from(FLOOD_ROUNDS) + 6,
-            plan.clone(),
-            make,
-        );
+        let reference = flood_under(ExecutionPolicy::Sequential);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let run = run_program_under_faults(
-            &graph,
-            &ids,
-            Model::Local,
-            ExecutionPolicy::parallel(4),
-            u64::from(FLOOD_ROUNDS) + 6,
-            plan.clone(),
-            make,
-        );
-        let identical = run.outputs == reference.outputs
-            && run.metrics == reference.metrics
-            && run.faults == reference.faults;
+        let identical = flood_under(ExecutionPolicy::parallel(4)) == reference;
         assert!(identical, "{name}: faulty flood diverged across policies");
-        let stats = reference.faults.expect("faulty run carries stats");
+        let (_, metrics, stats) = reference;
+        let stats = stats.expect("faulty run carries stats");
         table.push_row(vec![
             "flood".to_string(),
             name.clone(),
             graph.m().to_string(),
             plan.seed().to_string(),
-            reference.metrics.rounds.to_string(),
+            metrics.rounds.to_string(),
             stats.delivered.to_string(),
             stats.dropped.to_string(),
             stats.duplicated.to_string(),
@@ -1168,7 +1160,7 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             delay_permille: delay_pm,
             crashes,
             link_cuts: cuts,
-            rounds: reference.metrics.rounds,
+            rounds: metrics.rounds,
             delivered: stats.delivered,
             dropped: stats.dropped,
             duplicated: stats.duplicated,
@@ -1439,19 +1431,7 @@ pub fn run_io() -> (Table, Vec<IoMeasurement>) {
         let file_len = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len()).ok();
         let (txt_bytes, snap_bytes) = (file_len(&txt_path), file_len(&snap_path));
         let ids = IdAssignment::scattered(graph.n(), 1);
-        let one_round = |g: &Graph| {
-            run_program_with(
-                g,
-                &ids,
-                Model::Local,
-                ExecutionPolicy::Sequential,
-                4,
-                |_| ScaleFlood {
-                    best: 0,
-                    rounds_left: 1,
-                },
-            )
-        };
+        let one_round = |g: &Graph| flood(&mut Network::new(g, Model::Local), &ids, 1, 4);
         let reference_checksum = adjacency_checksum_graph(&graph);
 
         // The three load paths: best-of-REPS cold start (file → queryable)
@@ -1575,19 +1555,15 @@ pub fn run_io() -> (Table, Vec<IoMeasurement>) {
             let mut rounds = 0;
             for _ in 0..REPS {
                 let started = Instant::now();
-                let run = run_program_with(
-                    g,
+                let mut net = Network::new(g, Model::Local);
+                flood(
+                    &mut net,
                     &g_ids,
-                    Model::Local,
-                    ExecutionPolicy::Sequential,
+                    REORDER_FLOOD_ROUNDS,
                     u64::from(REORDER_FLOOD_ROUNDS) + 2,
-                    |_| ScaleFlood {
-                        best: 0,
-                        rounds_left: REORDER_FLOOD_ROUNDS,
-                    },
                 );
                 wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-                rounds = run.metrics.rounds;
+                rounds = net.rounds();
             }
             push_io_row(
                 &mut table,

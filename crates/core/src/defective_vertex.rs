@@ -14,9 +14,10 @@
 //! (possibly already defective) coloring, every node re-interprets its color
 //! as a low-degree polynomial over a prime field and picks the evaluation
 //! point minimizing collisions with its neighbors, which adds at most
-//! `t·Δ/q ≤ d_step` to its defect while shrinking the palette to `q²`
-//! (see DESIGN.md for the substitution notes versus the exact procedure
-//! of \[11\]).
+//! `t·Δ/q ≤ d_step` to its defect while shrinking the palette to `q²`.
+//! This greedy choice of evaluation point substitutes for the exact
+//! procedure of \[11\]; docs/ROUNDS.md (§"The fix") explains the step
+//! budget `d_step` and the descent schedule built on it.
 //!
 //! A step evaluates every node's polynomial at every point of `F_q` once,
 //! into an `n × q` table ([`crate::linial`]'s `poly_table`), and each node
@@ -209,7 +210,8 @@ pub fn low_defect_constant_coloring(
 /// The implementation first shrinks the palette with defect budget `εΔ/2`
 /// (the faithful \[11\]-style step) and then folds the classes into 4 groups by
 /// a threshold local search processed class-by-class (our substitute for the
-/// Refine procedure of \[11\]; see DESIGN.md). The returned coloring always has
+/// Refine procedure of \[11\]; docs/ROUNDS.md, §"The fix", explains its mover
+/// gating and move threshold). The returned coloring always has
 /// palette ≤ 4; the defect bound is verified by the caller/tests via
 /// `edgecolor-verify`.
 pub fn defective_four_coloring(

@@ -8,8 +8,10 @@
 //! color classes; in each class all uncolored edges simultaneously pick a free
 //! color from their lists — edges of one class are pairwise non-adjacent, so
 //! no conflicts can arise. The number of rounds is the size of the schedule
-//! palette, i.e. `O(d²)` instead of \[10\]'s `O(d)`; DESIGN.md records this
-//! substitution (it only affects the low-degree tail of every run).
+//! palette, i.e. `O(d²)` instead of \[10\]'s `O(d)`. This is a deliberate
+//! substitution for \[10\]'s algorithm; it only affects the low-degree tail
+//! of every run, whose rounds the round ledger books as the `greedy-finish`
+//! stage (the ledger is described in docs/ROUNDS.md).
 
 use distgraph::{BipartiteGraph, Color, EdgeColoring, EdgeId, Graph, ListAssignment};
 use distsim::{bits_for, Network};

@@ -641,7 +641,7 @@ pub fn list_edge_coloring(
         let iter_rounds_before = net.rounds();
 
         // Constant-class defective coloring of the uncolored graph
-        // (4 classes, monochromatic degree ≈ Δ/2; see DESIGN.md).
+        // (4 classes, monochromatic degree ≈ Δ/2; see docs/ROUNDS.md).
         let base = VertexColoring::from_vec(linial.coloring.as_slice().to_vec());
         let d4_rounds_before = net.rounds();
         let classes = defective_four_coloring(uncolored, &base, linial.palette, 0.25, &mut net);

@@ -10,7 +10,8 @@
 //! the recursive machinery engage at moderate degrees. All correctness
 //! properties (properness, list compliance) hold for both profiles; the
 //! defect/slack *bounds* are guaranteed only for the paper profile and are
-//! measured empirically for the practical one (see DESIGN.md, substitutions).
+//! measured empirically for the practical one (docs/PAPER_MAP.md, the
+//! Equations (4)–(7) row).
 
 use distsim::ExecutionPolicy;
 

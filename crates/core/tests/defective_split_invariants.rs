@@ -1,5 +1,5 @@
 //! Property tests for the degree-reduction contract of the defective-split
-//! recursion (Theorem 1.1's outer loop, DESIGN.md §"Degree reduction"): each
+//! recursion (Theorem 1.1's outer loop, docs/ROUNDS.md §"The fix"): each
 //! outer iteration carves the uncolored residual with a defective 4-coloring
 //! and colors the cross-class bipartite pieces, so the residual max degree
 //! must *strictly* decrease level over level. The Δ≥16 round blowup fixed in

@@ -6,8 +6,7 @@
 //! provides the machinery the simulator uses to exploit that:
 //!
 //! * [`ExecutionPolicy`] — the knob selecting sequential or multi-threaded
-//!   round execution; carried by [`Network`](crate::Network) and accepted by
-//!   [`run_program_with`](crate::run_program_with).
+//!   round execution; carried by [`Network`](crate::Network).
 //! * [`map_chunks`] — the chunked fork/join primitive: the node range
 //!   `0..n` is split into contiguous chunks, run on at most
 //!   [`ExecutionPolicy::effective_threads`] `std::thread::scope` workers

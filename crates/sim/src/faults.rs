@@ -5,17 +5,17 @@
 //! (Balliu–Kuhn–Olivetti's quasi-polylog edge coloring, Bernshteyn's
 //! `(Δ+1)`-edge coloring) frames round complexity against worst-case message
 //! timing. This module provides the adversary the simulator runs those
-//! stress scenarios under:
+//! stress scenarios under, installed on the round engine with
+//! [`Network::install_faults`](crate::Network::install_faults):
 //!
 //! * [`FaultPlan`] — a deterministic, seed-driven fault schedule: per-message
 //!   drop / duplicate / delay-by-`k`-rounds decisions (global rates with
-//!   per-edge overrides), node crash/restart windows, and shard-link
-//!   partitions that heal after a configured number of rounds;
-//! * [`AsyncScheduler`] — executes a [`NodeProgram`](crate::NodeProgram)
-//!   under the plan **plus** adversarial per-inbox message reordering;
+//!   per-edge overrides), node crash/restart windows, shard-link
+//!   partitions that heal after a configured number of rounds, and optional
+//!   adversarial per-inbox message reordering
+//!   ([`FaultPlan::with_reordering`], the asynchrony adversary);
 //! * [`FaultStats`] — what the adversary actually did to a run, surfaced
-//!   through [`Network::fault_stats`](crate::Network::fault_stats) and
-//!   [`ProgramRun::faults`](crate::ProgramRun::faults).
+//!   through [`Network::fault_stats`](crate::Network::fault_stats).
 //!
 //! # Determinism contract
 //!
@@ -47,9 +47,11 @@
 //!   the original;
 //! * **delay** — the message arrives `k ∈ {1, …, max}` rounds later,
 //!   ordered after the fresh messages of its sender in the arrival round;
-//! * **crash window `[at, restart)`** — the node neither steps (strict
-//!   layer), sends, nor receives while crashed; on `restart` it resumes
-//!   with the state it crashed with (crash-recovery, not reset);
+//! * **crash window `[at, restart)`** — every message from or to the node
+//!   is lost while it is crashed. The network only filters delivery: a
+//!   driver asks [`FaultPlan::is_crashed`] which nodes are down and keeps
+//!   them from stepping, so on `restart` a node resumes with the state it
+//!   crashed with (crash-recovery, not reset);
 //! * **link partition `[at, at + heal_after)`** — messages between the two
 //!   shards are lost while the window is open and flow again once it heals.
 //!
@@ -293,8 +295,10 @@ impl FaultPlan {
         self
     }
 
-    /// Enables adversarial per-inbox message reordering (the
-    /// [`AsyncScheduler`] enables this automatically).
+    /// Enables adversarial per-inbox message reordering: each inbox is
+    /// permuted by a seeded Fisher–Yates, so message arrival order within a
+    /// round carries no information, as in an asynchronous execution that
+    /// has been normalized round by round.
     pub fn with_reordering(mut self) -> Self {
         self.reorder = true;
         self
@@ -310,13 +314,6 @@ impl FaultPlan {
         self.crashes
             .iter()
             .any(|c| c.node == node && round >= c.at && round < c.restart)
-    }
-
-    /// Returns `true` if any crash window is active at `round`.
-    pub fn any_crash_at(&self, round: u64) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| round >= c.at && round < c.restart)
     }
 
     /// The plan's crash windows.
@@ -406,9 +403,8 @@ fn mix(seed: u64, round: u64, edge: u64, from: u64) -> u64 {
 }
 
 /// What the adversary actually did to a run. All counters are message
-/// counts except [`FaultStats::crashed_steps`] (suppressed node steps) and
-/// [`FaultStats::reordered_inboxes`] (inboxes permuted by the async
-/// scheduler).
+/// counts except [`FaultStats::reordered_inboxes`] (inboxes permuted by
+/// the reordering adversary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages that arrived (including duplicates and released delays).
@@ -423,11 +419,9 @@ pub struct FaultStats {
     pub released: u64,
     /// Messages lost because an endpoint was inside a crash window.
     pub crash_dropped: u64,
-    /// Node round-steps suppressed by crash windows (strict layer only).
-    pub crashed_steps: u64,
     /// Messages lost on severed shard links.
     pub partition_dropped: u64,
-    /// Inboxes (with ≥ 2 messages) permuted by the async scheduler.
+    /// Inboxes (with ≥ 2 messages) permuted by the reordering adversary.
     pub reordered_inboxes: u64,
 }
 
@@ -441,7 +435,7 @@ struct Delayed<M> {
 /// The mutable state of an installed [`FaultPlan`]: the delay queue, the
 /// lazily built reference partition and the accumulated [`FaultStats`].
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     stats: FaultStats,
     partition: Option<Partition>,
@@ -455,7 +449,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Fresh state for a plan.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultState {
             plan,
             stats: FaultStats::default(),
@@ -465,34 +459,13 @@ impl FaultState {
     }
 
     /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
     /// The accumulated adversary effect.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Records suppressed node steps (called by the strict execution layer).
-    pub(crate) fn note_crashed_steps(&mut self, count: u64) {
-        self.stats.crashed_steps += count;
-    }
-
-    /// The per-round crash mask for the strict layer: `mask[v] == true`
-    /// means node `v` must not step at `round`. `None` when no crash window
-    /// is active (the common case, so rounds without crashes pay nothing).
-    pub(crate) fn crash_mask(&self, n: usize, round: u64) -> Option<Vec<bool>> {
-        if !self.plan.any_crash_at(round) {
-            return None;
-        }
-        let mut mask = vec![false; n];
-        for c in &self.plan.crashes {
-            if round >= c.at && round < c.restart && c.node.index() < n {
-                mask[c.node.index()] = true;
-            }
-        }
-        Some(mask)
     }
 
     /// Applies the plan to the canonically ordered mailboxes of the round
@@ -666,99 +639,6 @@ fn lost_in_transit(
     false
 }
 
-/// Executes node programs under a [`FaultPlan`] **plus** adversarial
-/// message reordering — the asynchrony adversary: message arrival order
-/// within a round carries no information, exactly as in an asynchronous
-/// execution that has been normalized round-by-round.
-///
-/// The determinism contract is unchanged: same seed + plan ⇒ bit-identical
-/// outputs, metrics and fault stats under every execution policy (see
-/// `crates/sim/tests/fault_determinism.rs`).
-///
-/// # Examples
-///
-/// ```
-/// use distgraph::{generators, EdgeId};
-/// use distsim::{
-///     AsyncScheduler, ExecutionPolicy, FaultPlan, IdAssignment, Incoming, Model, NodeCtx,
-///     NodeProgram, Step,
-/// };
-///
-/// // Each node broadcasts once, then halts with its received-message count.
-/// struct CountInbox;
-/// impl NodeProgram for CountInbox {
-///     type Msg = u32;
-///     type Output = usize;
-///     fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u32)> {
-///         ctx.ports.iter().map(|p| (p.edge, 1)).collect()
-///     }
-///     fn round(&mut self, _ctx: &NodeCtx, inbox: &[Incoming<u32>]) -> Step<u32, usize> {
-///         Step::Halt(inbox.len())
-///     }
-/// }
-///
-/// let g = generators::cycle(8);
-/// let ids = IdAssignment::contiguous(8);
-/// let scheduler = AsyncScheduler::new(FaultPlan::new(7).with_drop_rate(0.2));
-/// let run = scheduler.run_program(
-///     &g,
-///     &ids,
-///     Model::Local,
-///     ExecutionPolicy::Sequential,
-///     4,
-///     |_| CountInbox,
-/// );
-/// let stats = run.faults.expect("faulty run carries stats");
-/// assert_eq!(stats.delivered + stats.dropped, 2 * g.m() as u64);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AsyncScheduler {
-    plan: FaultPlan,
-}
-
-impl AsyncScheduler {
-    /// A scheduler for `plan`, with reordering force-enabled.
-    pub fn new(plan: FaultPlan) -> Self {
-        AsyncScheduler {
-            plan: plan.with_reordering(),
-        }
-    }
-
-    /// The plan the scheduler executes under (reordering enabled).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Runs `make_program` instances on every node of `graph` under the
-    /// scheduler's plan; see
-    /// [`run_program_under_faults`](crate::run_program_under_faults).
-    pub fn run_program<P, F>(
-        &self,
-        graph: &Graph,
-        ids: &crate::IdAssignment,
-        model: crate::Model,
-        policy: crate::ExecutionPolicy,
-        max_rounds: u64,
-        make_program: F,
-    ) -> crate::ProgramRun<P::Output>
-    where
-        P: crate::NodeProgram + Send,
-        P::Msg: Send + Sync,
-        P::Output: Send,
-        F: FnMut(NodeId) -> P,
-    {
-        crate::run_program_under_faults(
-            graph,
-            ids,
-            model,
-            policy,
-            max_rounds,
-            self.plan.clone(),
-            make_program,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,8 +669,6 @@ mod tests {
         assert!(plan.is_crashed(NodeId::new(3), 4));
         assert!(!plan.is_crashed(NodeId::new(3), 5));
         assert!(!plan.is_crashed(NodeId::new(2), 3));
-        assert!(plan.any_crash_at(4));
-        assert!(!plan.any_crash_at(7));
         assert!(plan.has_link_cuts());
         assert_eq!(plan.crashes().len(), 1);
     }

@@ -44,8 +44,7 @@ pub struct LedgerEntry {
 }
 
 /// An append-only log of [`LedgerEntry`] records, carried by every
-/// [`Network`](crate::Network) and surfaced by the coloring outcomes and
-/// [`ProgramRun`](crate::ProgramRun).
+/// [`Network`](crate::Network) and surfaced by the coloring outcomes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundLedger {
     entries: Vec<LedgerEntry>,

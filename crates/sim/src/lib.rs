@@ -4,33 +4,29 @@
 //! distributed computing (Section 2 of *Distributed Edge Coloring in Time
 //! Polylogarithmic in Δ*, PODC 2022).
 //!
-//! Two execution layers are provided:
+//! Every algorithm runs on one round engine, [`Network`]: it calls
+//! [`Network::exchange`], [`Network::exchange_sync`] or
+//! [`Network::broadcast`] once per communication round, and the network
+//! delivers the messages, charges the round and accounts message sizes
+//! (flagging CONGEST violations). The composed coloring algorithms of the
+//! `edgecolor` crate and the experiment workloads run on it; stages that
+//! are simulated in shared memory (the token dropping game among them)
+//! charge their rounds to it ([`Network::charge_rounds`]).
 //!
-//! * [`Network`] — the orchestrated layer: algorithms call
-//!   [`Network::exchange`]/[`Network::broadcast`] once per communication
-//!   round; the network delivers messages, charges rounds and accounts
-//!   message sizes (flagging CONGEST violations). The composed coloring
-//!   algorithms of the `edgecolor` crate run on this layer.
-//! * [`NodeProgram`]/[`run_program`] — the strict layer: one state machine
-//!   per node, seeing only its own port-numbered neighborhood, its unique
-//!   identifier, `n` and `Δ`. Unit algorithms (flooding, BFS, the token
-//!   dropping phases) are implemented against this layer to demonstrate
-//!   locality.
+//! Rounds execute under an [`ExecutionPolicy`]: the default `Sequential`
+//! walks all nodes on one thread, while `Parallel { threads }` runs each
+//! round's per-node send closures on a scoped worker pool over contiguous
+//! node chunks ([`Network::with_policy`]). Because a node's messages depend
+//! only on its own state, the engine merges per-chunk messages and metrics
+//! deterministically and its results are bit-identical to the sequential
+//! path at any thread count.
 //!
-//! Both layers execute rounds under an [`ExecutionPolicy`]: the default
-//! `Sequential` walks all nodes on one thread, while `Parallel { threads }`
-//! runs each round's per-node work on a scoped worker pool over contiguous
-//! node chunks ([`Network::with_policy`], [`run_program_with`]). Because a
-//! node's round action depends only on its own state and inbox, the parallel
-//! engine merges per-chunk messages and metrics deterministically and its
-//! results are bit-identical to the sequential path at any thread count.
-//!
-//! Both layers can additionally run under a seed-driven **fault adversary**
+//! A network can additionally run under a seed-driven **fault adversary**
 //! ([`faults`]): message drops/duplicates/delays with per-edge rates, node
-//! crash/restart windows, and shard-link partitions that heal, plus the
-//! [`AsyncScheduler`]'s adversarial message reordering. Same seed + same
+//! crash/restart windows, shard-link partitions that heal and adversarial
+//! message reordering ([`FaultPlan::with_reordering`]). Same seed + same
 //! [`FaultPlan`] ⇒ bit-identical run under every execution policy
-//! ([`Network::install_faults`], [`run_program_under_faults`]).
+//! ([`Network::install_faults`]).
 //!
 //! # Examples
 //!
@@ -57,19 +53,15 @@ mod metrics;
 mod model;
 mod network;
 mod payload;
-mod program;
 
 pub use executor::{
     for_each_chunk_mut, for_each_chunk_mut_in, host_parallelism, map_chunks, map_chunks_with,
     Chunks, ExecutionPolicy,
 };
-pub use faults::{AsyncScheduler, CrashWindow, FaultPlan, FaultRates, FaultStats, LinkPartition};
+pub use faults::{CrashWindow, FaultPlan, FaultRates, FaultStats, LinkPartition};
 pub use identifiers::IdAssignment;
 pub use ledger::{LedgerEntry, LedgerSummaryRow, RoundLedger};
 pub use metrics::Metrics;
 pub use model::Model;
 pub use network::{Incoming, Mailboxes, Network};
 pub use payload::{bits_for, Payload};
-pub use program::{
-    run_program, run_program_under_faults, run_program_with, NodeCtx, NodeProgram, ProgramRun, Step,
-};

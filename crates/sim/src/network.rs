@@ -1,4 +1,4 @@
-//! The synchronous-round network: the orchestrated execution layer.
+//! The synchronous-round network: the round engine every algorithm runs on.
 //!
 //! A [`Network`] wraps a graph and provides the primitive the LOCAL/CONGEST
 //! models are built on: one synchronous round in which every node sends one
@@ -302,8 +302,9 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
+    /// The underlying graph (borrowed for the network's whole lifetime, so
+    /// callers can keep it across rounds).
+    pub fn graph(&self) -> &'g Graph {
         self.graph
     }
 

@@ -1,8 +1,8 @@
 //! Pins the flat-arena delivery path's steady-state allocation budget.
 //!
 //! The round engine's contract after the allocation-free rework: once the
-//! per-round scratch (message arenas, count/slot buffers, double-buffered
-//! inboxes) has warmed up, a round allocates O(active chunks) — a small
+//! per-round scratch (message arenas, count/slot buffers) has warmed up, a
+//! round allocates O(active chunks) — a small
 //! constant independent of `n` and of the per-round message volume. This
 //! test wraps the system allocator in a counting shim and measures rounds on
 //! two graph sizes a factor of four apart: an O(n) or O(m) regression in the
@@ -16,11 +16,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use distgraph::{generators, EdgeId, Graph};
-use distsim::{
-    run_program_with, ExecutionPolicy, IdAssignment, Incoming, Model, Network, NodeCtx,
-    NodeProgram, Step,
-};
+use distgraph::{generators, Graph};
+use distsim::{ExecutionPolicy, Model, Network};
 
 /// System allocator shim counting allocation *events* (alloc + realloc);
 /// deallocations are free and not counted.
@@ -54,24 +51,6 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed) - before
 }
 
-/// A strict-layer program whose rounds are allocation-quiet: after an
-/// initial flood it keeps running to the round cap without building any
-/// send vectors (`Vec::new()` does not allocate).
-struct QuietTicker;
-
-impl NodeProgram for QuietTicker {
-    type Msg = u64;
-    type Output = u64;
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u64)> {
-        ctx.ports.iter().map(|p| (p.edge, ctx.id)).collect()
-    }
-
-    fn round(&mut self, _ctx: &NodeCtx, _inbox: &[Incoming<u64>]) -> Step<u64, u64> {
-        Step::Send(Vec::new())
-    }
-}
-
 /// Steady-state allocations per broadcast round under `policy`, after a
 /// warm-up that grows every pooled buffer to capacity.
 fn broadcast_allocs_per_round(g: &Graph, policy: ExecutionPolicy, rounds: u64) -> u64 {
@@ -97,7 +76,7 @@ fn steady_state_rounds_allocate_o_chunks_not_o_n() {
     let large = generators::grid_torus(32, 32);
     let rounds = 32u64;
 
-    // Orchestrated layer, sequential: the Mailboxes handed back each round
+    // Sequential: the Mailboxes handed back each round
     // escape the pool (offsets + entries), plus a few pool-bookkeeping
     // events. Budget 16 ≪ 4·n = 4096 messages/round on the large torus.
     let seq_budget = 16;
@@ -110,7 +89,7 @@ fn steady_state_rounds_allocate_o_chunks_not_o_n() {
         );
     }
 
-    // Orchestrated layer, parallel{4}: same contract with an O(chunks)
+    // Parallel{4}: same contract with an O(chunks)
     // surcharge (per-chunk buffer views and metric merges), still
     // independent of n.
     let par_budget = 48;
@@ -131,33 +110,5 @@ fn steady_state_rounds_allocate_o_chunks_not_o_n() {
         large_rate <= small_rate + 4,
         "steady-state allocs grew with n: {small_rate}/round at 256 nodes vs \
          {large_rate}/round at 1024 nodes"
-    );
-
-    // Strict layer: a program whose rounds send nothing exercises the
-    // double-buffered inbox swap; the engine itself must stay quiet. The
-    // one-time setup (contexts, state vectors, init flood) is excluded by
-    // measuring a long run minus a short run of the same instance.
-    let ids = IdAssignment::scattered(large.n(), 7);
-    let run_allocs = |max_rounds: u64| {
-        allocs_during(|| {
-            let run = run_program_with(
-                &large,
-                &ids,
-                Model::Local,
-                ExecutionPolicy::parallel(4),
-                max_rounds,
-                |_| QuietTicker,
-            );
-            assert_eq!(run.metrics.rounds, max_rounds);
-        })
-    };
-    let short = run_allocs(8);
-    let long = run_allocs(72);
-    let per_round = (long.saturating_sub(short)) / 64;
-    let strict_budget = 48;
-    assert!(
-        per_round <= strict_budget,
-        "quiet strict-layer rounds allocate {per_round}/round on the 32x32 torus \
-         (budget {strict_budget}; short run {short}, long run {long})"
     );
 }

@@ -10,15 +10,14 @@
 //!    exact inverse of `range`.
 //! 2. **Bit-identity** — on skewed power-law graphs (the workload the
 //!    degree-weighted cut exists for) `Parallel { threads }` produces
-//!    mailboxes, metrics and program outputs bit-identical to `Sequential`,
-//!    chunk geometry notwithstanding.
+//!    mailboxes, metrics and multi-round flood outputs bit-identical to
+//!    `Sequential`, chunk geometry notwithstanding.
 
 use distgraph::{generators, EdgeId, Graph, NodeId};
-use distsim::{
-    run_program, run_program_with, Chunks, ExecutionPolicy, IdAssignment, Incoming, Model, Network,
-    NodeCtx, NodeProgram, Step,
-};
+use distsim::{Chunks, ExecutionPolicy, IdAssignment, Model, Network};
 use proptest::prelude::*;
+
+mod common;
 
 /// CSR offsets for a synthetic degree sequence.
 fn offsets_of(degrees: &[usize]) -> Vec<usize> {
@@ -122,34 +121,6 @@ const POLICY_MATRIX: [ExecutionPolicy; 3] = [
     ExecutionPolicy::Parallel { threads: 8 },
 ];
 
-/// Flooding with a staggered halting schedule (stresses halted-node and
-/// inbox bookkeeping across chunk boundaries).
-struct StaggeredFlood {
-    best: u64,
-    budget: u32,
-}
-
-impl NodeProgram for StaggeredFlood {
-    type Msg = u64;
-    type Output = (u64, u32);
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u64)> {
-        self.best = ctx.id;
-        ctx.ports.iter().map(|p| (p.edge, self.best)).collect()
-    }
-
-    fn round(&mut self, ctx: &NodeCtx, inbox: &[Incoming<u64>]) -> Step<u64, (u64, u32)> {
-        for m in inbox {
-            self.best = self.best.max(m.msg);
-        }
-        if self.budget == 0 {
-            return Step::Halt((self.best, ctx.degree as u32));
-        }
-        self.budget -= 1;
-        Step::Send(ctx.ports.iter().map(|p| (p.edge, self.best)).collect())
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -182,23 +153,21 @@ proptest! {
         }
     }
 
-    /// The strict layer on power-law graphs: program outputs and metrics are
-    /// bit-identical to sequential under every parallel policy.
+    /// A multi-round flood with staggered halting on power-law graphs:
+    /// outputs and metrics are bit-identical to sequential under every
+    /// parallel policy.
     #[test]
     fn power_law_programs_are_bit_identical((g, seed) in (arb_power_law(), 0u64..1000)) {
         let ids = IdAssignment::scattered(g.n(), seed);
         let budget_of = |v: NodeId| (v.index() as u32 + seed as u32) % 5;
-        let reference = run_program(&g, &ids, Model::Local, 16, |v| StaggeredFlood {
-            best: 0,
-            budget: budget_of(v),
-        });
+        let run = |policy| {
+            let mut net = Network::with_policy(&g, Model::Local, policy);
+            let outputs = common::flood(&mut net, &ids, budget_of, 16);
+            (outputs, net.metrics())
+        };
+        let reference = run(ExecutionPolicy::Sequential);
         for policy in POLICY_MATRIX {
-            let run = run_program_with(&g, &ids, Model::Local, policy, 16, |v| StaggeredFlood {
-                best: 0,
-                budget: budget_of(v),
-            });
-            prop_assert_eq!(&reference.outputs, &run.outputs, "{} outputs", policy);
-            prop_assert_eq!(reference.metrics, run.metrics, "{} metrics", policy);
+            prop_assert_eq!(&reference, &run(policy), "{} outputs and metrics", policy);
         }
     }
 }

@@ -4,16 +4,17 @@
 //! **bit-identical** mailboxes, outputs, metrics and fault stats under every
 //! execution policy — `Sequential`, `Parallel{2,8}`.
 //! This suite pins that contract from raw `Network` exchanges up to full
-//! strict-layer program runs, plus the individual adversary semantics
+//! multi-round flood runs, plus the individual adversary semantics
 //! (drops, duplicates, delays, crash/restart windows, link partitions that
-//! heal, and the async scheduler's reordering).
+//! heal, and reordering).
 
 use distgraph::{generators, EdgeId, Graph, NodeId};
 use distsim::{
-    run_program, run_program_under_faults, AsyncScheduler, ExecutionPolicy, FaultPlan, FaultRates,
-    IdAssignment, Incoming, Model, Network, NodeCtx, NodeProgram, ProgramRun, Step,
+    ExecutionPolicy, FaultPlan, FaultRates, FaultStats, IdAssignment, Metrics, Model, Network,
 };
 use proptest::prelude::*;
+
+mod common;
 
 /// The policies every faulty run must agree across.
 fn policy_matrix() -> Vec<ExecutionPolicy> {
@@ -24,46 +25,38 @@ fn policy_matrix() -> Vec<ExecutionPolicy> {
     ]
 }
 
-/// Max-id flooding with a fixed horizon: tolerant of lost messages (the
-/// output is whatever maximum made it through), which makes it a good probe
-/// for fault determinism — every lost/delayed/duplicated message shows up
-/// in the outputs.
-struct Flood {
-    best: u64,
-    rounds_left: u32,
+/// Everything a flood run exposes: outputs, metrics and fault stats.
+#[derive(Debug, PartialEq)]
+struct FloodRun {
+    outputs: Vec<Option<u64>>,
+    metrics: Metrics,
+    faults: Option<FaultStats>,
 }
 
-impl NodeProgram for Flood {
-    type Msg = u64;
-    type Output = u64;
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u64)> {
-        self.best = ctx.id;
-        ctx.ports.iter().map(|p| (p.edge, self.best)).collect()
-    }
-
-    fn round(&mut self, ctx: &NodeCtx, inbox: &[Incoming<u64>]) -> Step<u64, u64> {
-        for m in inbox {
-            self.best = self.best.max(m.msg);
-        }
-        if self.rounds_left == 0 {
-            return Step::Halt(self.best);
-        }
-        self.rounds_left -= 1;
-        Step::Send(ctx.ports.iter().map(|p| (p.edge, self.best)).collect())
-    }
-}
-
-fn flood_run(
+/// A flood of `rounds` steps under `plan` (none: fault-free), capped at
+/// `horizon` rounds.
+fn flood_under(
     g: &Graph,
     ids: &IdAssignment,
     policy: ExecutionPolicy,
-    plan: &FaultPlan,
-) -> ProgramRun<u64> {
-    run_program_under_faults(g, ids, Model::Local, policy, 24, plan.clone(), |_| Flood {
-        best: 0,
-        rounds_left: 8,
-    })
+    plan: Option<&FaultPlan>,
+    rounds: u32,
+    horizon: u64,
+) -> FloodRun {
+    let mut net = Network::with_policy(g, Model::Local, policy);
+    if let Some(plan) = plan {
+        net.install_faults(plan.clone());
+    }
+    let outputs = common::flood(&mut net, ids, |_| rounds, horizon);
+    FloodRun {
+        outputs,
+        metrics: net.metrics(),
+        faults: net.fault_stats(),
+    }
+}
+
+fn flood_run(g: &Graph, ids: &IdAssignment, policy: ExecutionPolicy, plan: &FaultPlan) -> FloodRun {
+    flood_under(g, ids, policy, Some(plan), 8, 24)
 }
 
 /// A mid-size adversary exercising every fault class at once.
@@ -97,7 +90,6 @@ fn faulty_program_runs_are_bit_identical_across_policies() {
     assert!(stats.duplicated > 0, "{stats:?}");
     assert!(stats.delayed > 0 && stats.released > 0, "{stats:?}");
     assert!(stats.crash_dropped > 0, "{stats:?}");
-    assert!(stats.crashed_steps > 0, "{stats:?}");
     assert!(stats.partition_dropped > 0, "{stats:?}");
     for policy in policy_matrix() {
         let run = flood_run(&g, &ids, policy, &plan);
@@ -286,25 +278,11 @@ fn crash_windows_suppress_and_restart_restores() {
     let ids = IdAssignment::contiguous(3);
     // Node 1 (the middle) is down for rounds 1..3, restarts at round 3.
     let plan = FaultPlan::new(2).with_crash(NodeId::new(1), 1, 3);
-    let run = run_program_under_faults(
-        &g,
-        &ids,
-        Model::Local,
-        ExecutionPolicy::Sequential,
-        16,
-        plan,
-        |_| Flood {
-            best: 0,
-            rounds_left: 6,
-        },
-    );
+    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 6, 16);
     // Everyone still halts (the window closed before the horizon) and the
     // global max eventually floods through the restarted node.
-    assert!(run.all_halted());
+    assert_eq!(run.outputs, vec![Some(3), Some(3), Some(3)]);
     let stats = run.faults.unwrap();
-    let outs = run.expect_outputs();
-    assert_eq!(outs, vec![3, 3, 3]);
-    assert_eq!(stats.crashed_steps, 2, "node 1 skipped rounds 1 and 2");
     assert!(stats.crash_dropped > 0, "in-flight messages were lost");
 }
 
@@ -313,19 +291,7 @@ fn permanent_crash_leaves_node_unhalted() {
     let g = generators::path(3);
     let ids = IdAssignment::contiguous(3);
     let plan = FaultPlan::new(2).with_crash(NodeId::new(0), 1, u64::MAX);
-    let run = run_program_under_faults(
-        &g,
-        &ids,
-        Model::Local,
-        ExecutionPolicy::Sequential,
-        10,
-        plan,
-        |_| Flood {
-            best: 0,
-            rounds_left: 4,
-        },
-    );
-    assert!(!run.all_halted());
+    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 4, 10);
     assert!(run.outputs[0].is_none(), "crashed node never halts");
     assert!(run.outputs[1].is_some() && run.outputs[2].is_some());
 }
@@ -358,23 +324,10 @@ fn link_partitions_sever_then_heal() {
 fn async_scheduler_reorders_inboxes_as_a_permutation() {
     let g = generators::star(6);
     let ids = IdAssignment::contiguous(7);
-    // Fault-free plan: the scheduler only reorders.
-    let scheduler = AsyncScheduler::new(FaultPlan::new(123));
-    let run = scheduler.run_program(
-        &g,
-        &ids,
-        Model::Local,
-        ExecutionPolicy::Sequential,
-        8,
-        |_| Flood {
-            best: 0,
-            rounds_left: 3,
-        },
-    );
-    let clean = run_program(&g, &ids, Model::Local, 8, |_| Flood {
-        best: 0,
-        rounds_left: 3,
-    });
+    // Fault-free plan with reordering: the adversary only reorders.
+    let plan = FaultPlan::new(123).with_reordering();
+    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 3, 8);
+    let clean = flood_under(&g, &ids, ExecutionPolicy::Sequential, None, 3, 8);
     // Flooding is order-oblivious, so outputs and metrics are untouched by
     // pure reordering — and the center's 6-message inbox was permuted.
     assert_eq!(run.outputs, clean.outputs);

@@ -2,24 +2,23 @@
 //!
 //! The engine's contract is sharp: for any graph, seed and model,
 //! `Parallel { threads }` must produce results **bit-identical** to
-//! `Sequential` — same [`Mailboxes`], same [`Metrics`], same program outputs,
+//! `Sequential` — same [`Mailboxes`], same [`Metrics`], same flood outputs,
 //! same final colorings — at every thread count. These property tests sweep
 //! random graphs/seeds/models over thread counts {2, 3, 8} and compare
 //! against the sequential reference at every layer of the stack:
 //!
 //! 1. `Network::exchange_sync` / `Network::broadcast` (mailboxes + metrics),
-//! 2. `run_program_with` (outputs + metrics),
+//! 2. a multi-round flood with staggered halting (outputs + metrics),
 //! 3. the full coloring algorithms `color_edges_local` and `color_congest`
 //!    (colorings + metrics).
 
 use distgraph::{generators, EdgeId, Graph, NodeId};
-use distsim::{
-    run_program, run_program_with, ExecutionPolicy, IdAssignment, Incoming, Model, Network,
-    NodeCtx, NodeProgram, Step,
-};
+use distsim::{ExecutionPolicy, IdAssignment, Model, Network};
 use edgecolor::{color_congest, color_edges_local, ColoringParams};
 use edgecolor_verify::{check_complete, check_proper_edge_coloring};
 use proptest::prelude::*;
+
+mod common;
 
 const THREAD_MATRIX: [usize; 3] = [2, 3, 8];
 
@@ -109,61 +108,25 @@ proptest! {
     }
 }
 
-/// Flooding with a per-round halting schedule: nodes halt at different
-/// rounds, which stresses the halted-node bookkeeping of the parallel path.
-struct StaggeredFlood {
-    best: u64,
-    budget: u32,
-}
-
-impl NodeProgram for StaggeredFlood {
-    type Msg = u64;
-    type Output = (u64, u32);
-
-    fn init(&mut self, ctx: &NodeCtx) -> Vec<(EdgeId, u64)> {
-        self.best = ctx.id;
-        ctx.ports.iter().map(|p| (p.edge, self.best)).collect()
-    }
-
-    fn round(&mut self, ctx: &NodeCtx, inbox: &[Incoming<u64>]) -> Step<u64, (u64, u32)> {
-        for m in inbox {
-            self.best = self.best.max(m.msg);
-        }
-        if self.budget == 0 {
-            return Step::Halt((self.best, ctx.degree as u32));
-        }
-        self.budget -= 1;
-        Step::Send(ctx.ports.iter().map(|p| (p.edge, self.best)).collect())
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Nodes halt at different rounds, which stresses the halted-node
+    /// bookkeeping of the parallel path.
     #[test]
-    fn run_program_outputs_and_metrics_are_bit_identical((g, model, seed) in
+    fn flood_outputs_and_metrics_are_bit_identical((g, model, seed) in
         (arb_graph(), arb_model(), 0u64..1000))
     {
         let ids = IdAssignment::scattered(g.n(), seed);
         let budget_of = |v: NodeId| (v.index() as u32 + seed as u32) % 5;
-        let reference = run_program(&g, &ids, model, 16, |v| StaggeredFlood {
-            best: 0,
-            budget: budget_of(v),
-        });
+        let run = |policy| {
+            let mut net = Network::with_policy(&g, model, policy);
+            let outputs = common::flood(&mut net, &ids, budget_of, 16);
+            (outputs, net.metrics())
+        };
+        let reference = run(ExecutionPolicy::Sequential);
         for threads in THREAD_MATRIX {
-            let run = run_program_with(
-                &g,
-                &ids,
-                model,
-                ExecutionPolicy::parallel(threads),
-                16,
-                |v| StaggeredFlood {
-                    best: 0,
-                    budget: budget_of(v),
-                },
-            );
-            prop_assert_eq!(&reference.outputs, &run.outputs);
-            prop_assert_eq!(reference.metrics, run.metrics);
+            prop_assert_eq!(&reference, &run(ExecutionPolicy::parallel(threads)));
         }
     }
 }

@@ -4,6 +4,8 @@
 //! (or directory) that exists in the repository, so the documentation layer
 //! cannot silently rot as files move. External (`http(s)`/`mailto`) links
 //! and pure in-page anchors are skipped — the build environment is offline.
+//! The same holds for code comments: every `*.md` file a comment under
+//! `crates/`, `src/` or `tests/` cites must exist.
 //! CI runs this as part of the `docs` job alongside
 //! `cargo doc --workspace --no-deps` with `RUSTDOCFLAGS="-D warnings"`.
 
@@ -77,7 +79,7 @@ fn relative_links_in_docs_resolve() {
                 {
                     continue;
                 }
-                // Drop a fragment, if any: `FILE.md#section` checks FILE.md.
+                // Drop a fragment, if any: `PATH#section` checks PATH.
                 let path_part = target.split('#').next().unwrap_or(&target);
                 if path_part.is_empty() {
                     continue;
@@ -120,4 +122,105 @@ fn link_extractor_handles_the_common_shapes() {
         link_targets("[anchor only](#section)"),
         vec!["#section".to_string()]
     );
+}
+
+/// Every file under `dir` with extension `ext`, recursively, skipping
+/// build output and hidden directories.
+fn files_with_extension(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("readable directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                files_with_extension(&path, ext, out);
+            }
+        } else if path.extension().is_some_and(|e| e == ext) {
+            out.push(path);
+        }
+    }
+}
+
+/// The `*.md` file names cited in the comment part (after `//`) of one
+/// line of Rust source, e.g. `docs/ROUNDS.md` or `README.md`.
+fn cited_markdown(line: &str) -> Vec<String> {
+    let Some(start) = line.find("//") else {
+        return Vec::new();
+    };
+    let is_name = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    line[start + 2..]
+        .split(|c: char| !is_name(c))
+        .map(|token| token.trim_end_matches('.'))
+        .filter(|token| token.len() > 3 && token.ends_with(".md"))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn markdown_files_cited_in_code_comments_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut markdown = Vec::new();
+    files_with_extension(root, "md", &mut markdown);
+    let markdown: Vec<String> = markdown
+        .iter()
+        .map(|p| {
+            p.strip_prefix(root)
+                .expect("under the root")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    // A citation resolves when it names a Markdown file by its path from
+    // the repository root or by a trailing part of that path.
+    let exists = |cited: &str| {
+        let cited = cited.trim_start_matches("./");
+        markdown
+            .iter()
+            .any(|path| path == cited || path.ends_with(&format!("/{cited}")))
+    };
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        files_with_extension(&root.join(dir), "rs", &mut sources);
+    }
+    sources.sort();
+    let mut checked = 0usize;
+    let mut missing = Vec::new();
+    for file in &sources {
+        let content = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for (lineno, line) in content.lines().enumerate() {
+            for cited in cited_markdown(line) {
+                checked += 1;
+                if !exists(&cited) {
+                    let shown = file.strip_prefix(root).unwrap_or(file);
+                    missing.push(format!("{}:{}: `{cited}`", shown.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "code comments cite Markdown files that do not exist:\n{}",
+        missing.join("\n")
+    );
+    assert!(
+        checked >= 8,
+        "only {checked} Markdown citations found — extractor broken?"
+    );
+}
+
+#[test]
+fn markdown_citation_extractor_handles_the_common_shapes() {
+    assert_eq!(
+        cited_markdown("//! see docs/ROUNDS.md (§\"The fix\") and `README.md`."),
+        vec!["docs/ROUNDS.md".to_string(), "README.md".to_string()]
+    );
+    assert_eq!(
+        cited_markdown("let x = 1; // per ROADMAP.md."),
+        vec!["ROADMAP.md".to_string()]
+    );
+    assert!(cited_markdown("let s = \"notes.md\";").is_empty());
+    assert!(cited_markdown("// no citation here, just .md alone").is_empty());
 }
