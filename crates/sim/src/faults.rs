@@ -48,10 +48,10 @@
 //! * **delay** — the message arrives `k ∈ {1, …, max}` rounds later,
 //!   ordered after the fresh messages of its sender in the arrival round;
 //! * **crash window `[at, restart)`** — every message from or to the node
-//!   is lost while it is crashed. The network only filters delivery: a
-//!   driver asks [`FaultPlan::is_crashed`] which nodes are down and keeps
-//!   them from stepping, so on `restart` a node resumes with the state it
-//!   crashed with (crash-recovery, not reset);
+//!   is lost while it is crashed. The network only filters delivery: the
+//!   algorithm running on it asks [`FaultPlan::is_crashed`] which nodes are
+//!   down and keeps them from stepping, so on `restart` a node resumes with
+//!   the state it crashed with (crash-recovery, not reset);
 //! * **link partition `[at, at + heal_after)`** — messages between the two
 //!   shards are lost while the window is open and flow again once it heals.
 //!

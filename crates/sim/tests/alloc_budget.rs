@@ -1,9 +1,9 @@
 //! Pins the flat-arena delivery path's steady-state allocation budget.
 //!
 //! The round engine's contract after the allocation-free rework: once the
-//! per-round scratch (message arenas, count/slot buffers) has warmed up, a
-//! round allocates O(active chunks) — a small
-//! constant independent of `n` and of the per-round message volume. This
+//! pooled per-round buffers (message arenas, count/slot vectors) have warmed
+//! up, a round allocates O(active chunks) — a small constant independent of
+//! `n` and of the per-round message volume. This
 //! test wraps the system allocator in a counting shim and measures rounds on
 //! two graph sizes a factor of four apart: an O(n) or O(m) regression in the
 //! hot path shows up as hundreds of allocations per round on the larger
