@@ -3,13 +3,15 @@
 //! Every case colors a seeded instance with [`color_edges_local`] or
 //! [`list_edge_coloring`] and compares an FNV-1a fingerprint of the full
 //! per-edge coloring, plus rounds, messages, total bits and colors used,
-//! against values recorded before the hot path was made allocation-free.
-//! Any change to the chosen colors, the schedule or the message accounting
-//! moves at least one pinned value. Each case runs under the sequential
+//! against values recorded before the hot path was made allocation-free,
+//! and an FNV-1a fingerprint of the round ledger, recorded before the
+//! orientation and the list queries were made to cost their work.
+//! Any change to the chosen colors, the schedule, the message accounting or
+//! any field of any ledger entry moves at least one pinned value. Each case runs under the sequential
 //! and parallel policies, which must both reproduce the same pins.
 
 use distgraph::{generators, EdgeColoring, Graph, ListAssignment};
-use distsim::IdAssignment;
+use distsim::{IdAssignment, RoundLedger};
 use edgecolor::{color_edges_local, list_edge_coloring, ColoringParams, ExecutionPolicy};
 use rand::Rng;
 use rand::SeedableRng;
@@ -23,22 +25,45 @@ struct Pin {
     messages: u64,
     total_bits: u64,
     colors_used: usize,
+    ledger: u64,
+}
+
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// FNV-1a 64 over every edge's color in edge order (uncolored edges hash as
 /// `u64::MAX`, which a complete coloring never contains).
 fn fingerprint(coloring: &EdgeColoring) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..coloring.len() {
-        let color = coloring
+    fnv1a((0..coloring.len()).flat_map(|i| {
+        coloring
             .color(distgraph::EdgeId::new(i))
-            .map_or(u64::MAX, |c| c as u64);
-        for byte in color.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
+            .map_or(u64::MAX, |c| c as u64)
+            .to_le_bytes()
+    }))
+}
+
+/// FNV-1a 64 over every ledger entry in recording order: depth, stage
+/// label (length-prefixed), degree level, edges, rounds, the bits of the
+/// defect ratio and the fallback flag.
+fn ledger_fingerprint(ledger: &RoundLedger) -> u64 {
+    let mut bytes = Vec::new();
+    for e in ledger.entries() {
+        bytes.extend(e.depth.to_le_bytes());
+        bytes.extend((e.stage.len() as u64).to_le_bytes());
+        bytes.extend(e.stage.bytes());
+        bytes.extend((e.delta_level as u64).to_le_bytes());
+        bytes.extend((e.edges as u64).to_le_bytes());
+        bytes.extend(e.rounds.to_le_bytes());
+        bytes.extend(e.defect_ratio.to_bits().to_le_bytes());
+        bytes.push(u8::from(e.fallback));
     }
-    hash
+    fnv1a(bytes)
 }
 
 /// Random `(degree+1)`-lists drawn from a color space of `space` colors.
@@ -89,6 +114,7 @@ fn cases() -> Vec<Case> {
                 messages: 65536,
                 total_bits: 1802440,
                 colors_used: 11,
+                ledger: 0x45531e9ef9831c55,
             },
         },
         Case {
@@ -101,6 +127,7 @@ fn cases() -> Vec<Case> {
                 messages: 196898,
                 total_bits: 1283877,
                 colors_used: 20,
+                ledger: 0x324b6aac909c36f5,
             },
         },
         Case {
@@ -113,6 +140,7 @@ fn cases() -> Vec<Case> {
                 messages: 21120,
                 total_bits: 405132,
                 colors_used: 6,
+                ledger: 0x3324b9f4c83e7e80,
             },
         },
         Case {
@@ -125,6 +153,7 @@ fn cases() -> Vec<Case> {
                 messages: 110044,
                 total_bits: 643807,
                 colors_used: 45,
+                ledger: 0x4aa369e978ff0c0c,
             },
         },
     ]
@@ -145,6 +174,7 @@ fn run(case: &Case, policy: ExecutionPolicy) -> Pin {
         messages: outcome.metrics.messages,
         total_bits: outcome.metrics.total_bits,
         colors_used: outcome.colors_used,
+        ledger: ledger_fingerprint(&outcome.ledger),
     }
 }
 
@@ -153,7 +183,11 @@ fn theorem_1_1_colorings_are_pinned_under_every_policy() {
     for case in cases() {
         for policy in [ExecutionPolicy::Sequential, ExecutionPolicy::parallel(2)] {
             let got = run(&case, policy);
-            assert_eq!(got, case.expected, "{} under {policy}", case.name);
+            assert_eq!(
+                got, case.expected,
+                "{} under {policy}: ledger {:#018x}",
+                case.name, got.ledger
+            );
         }
     }
 }
@@ -175,6 +209,7 @@ fn benchmark_instance_rr16_is_pinned() {
         messages: outcome.metrics.messages,
         total_bits: outcome.metrics.total_bits,
         colors_used: outcome.colors_used,
+        ledger: ledger_fingerprint(&outcome.ledger),
     };
     let expected = Pin {
         fingerprint: 0xe1ffa65933bc3435,
@@ -182,6 +217,11 @@ fn benchmark_instance_rr16_is_pinned() {
         messages: 53576603,
         total_bits: 565913188,
         colors_used: 21,
+        ledger: 0x52c61fc48445e368,
     };
-    assert_eq!(got, expected, "fingerprint {:#018x}", got.fingerprint);
+    assert_eq!(
+        got, expected,
+        "fingerprint {:#018x}, ledger {:#018x}",
+        got.fingerprint, got.ledger
+    );
 }

@@ -18,10 +18,15 @@
 //! Recording is deterministic: entries depend only on the algorithm's input,
 //! never on the execution policy, so ledgers are bit-identical across
 //! `Sequential` and `Parallel` runs just like mailboxes and metrics.
+//! Equality is bitwise (see [`LedgerEntry`]), so two ledgers compare equal
+//! exactly when they are bit-identical.
 
 /// One recorded stage of a recursion: who charged how many rounds at which
 /// level of the recursion, and what it did to the degree.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares [`LedgerEntry::defect_ratio`] by its bits, so an entry
+/// with a `NaN` ratio equals its own clone, and `0.0` differs from `-0.0`.
+#[derive(Debug, Clone)]
 pub struct LedgerEntry {
     /// Recursion depth of the stage (0 = top-level driver).
     pub depth: u32,
@@ -43,9 +48,23 @@ pub struct LedgerEntry {
     pub fallback: bool,
 }
 
+impl PartialEq for LedgerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.depth == other.depth
+            && self.stage == other.stage
+            && self.delta_level == other.delta_level
+            && self.edges == other.edges
+            && self.rounds == other.rounds
+            && self.defect_ratio.to_bits() == other.defect_ratio.to_bits()
+            && self.fallback == other.fallback
+    }
+}
+
+impl Eq for LedgerEntry {}
+
 /// An append-only log of [`LedgerEntry`] records, carried by every
 /// [`Network`](crate::Network) and surfaced by the coloring outcomes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundLedger {
     entries: Vec<LedgerEntry>,
 }
@@ -233,6 +252,32 @@ mod tests {
         let rendered = format!("{ledger}");
         assert!(rendered.contains("b"));
         assert!(rendered.contains("30"));
+    }
+
+    #[test]
+    fn equality_is_bitwise() {
+        let mut ledger = RoundLedger::new();
+        ledger.record(LedgerEntry {
+            defect_ratio: f64::NAN,
+            ..entry("linial", 0, 2)
+        });
+        ledger.record(entry("outer-iter", 1, 9));
+        assert_eq!(ledger, ledger.clone());
+        let mut other = ledger.clone();
+        other.entries[1].defect_ratio = -other.entries[1].defect_ratio;
+        assert_ne!(ledger, other);
+        let mut other = ledger.clone();
+        other.entries[0].edges += 1;
+        assert_ne!(ledger, other);
+        let zero = LedgerEntry {
+            defect_ratio: 0.0,
+            ..entry("a", 0, 1)
+        };
+        let negative_zero = LedgerEntry {
+            defect_ratio: -0.0,
+            ..entry("a", 0, 1)
+        };
+        assert_ne!(zero, negative_zero);
     }
 
     #[test]
