@@ -279,32 +279,6 @@ where
     })
 }
 
-/// Runs `f` over disjoint mutable chunk slices of `items`, pairing each chunk
-/// with the matching element of `per_chunk` (which must have one entry per
-/// chunk of `Chunks::new(items.len(), policy.threads())`).
-///
-/// Used for the delivery phase of a parallel round: each worker owns the
-/// mailboxes of a contiguous node range and drains the per-sender-chunk
-/// buckets addressed to it, in sender-chunk order.
-pub fn for_each_chunk_mut<T, U, F>(
-    items: &mut [T],
-    policy: ExecutionPolicy,
-    per_chunk: Vec<U>,
-    f: F,
-) where
-    T: Send,
-    U: Send,
-    F: Fn(Range<usize>, &mut [T], U) + Sync,
-{
-    for_each_chunk_mut_in(
-        &Chunks::new(items.len(), policy.threads()),
-        items,
-        policy,
-        per_chunk,
-        f,
-    );
-}
-
 /// Applies `f` to every chunk range of an explicit geometry paired with its
 /// (moved) per-chunk payload, returning the results in chunk order.
 ///
@@ -329,47 +303,6 @@ where
     );
     let paired: Vec<(Range<usize>, U)> = chunks.ranges().into_iter().zip(payloads).collect();
     run_jobs(policy, paired, |(range, u)| f(range, u))
-}
-
-/// [`for_each_chunk_mut`] over an explicit, caller-owned chunk geometry.
-///
-/// `chunks` must cover `items.len()` exactly; each worker owns the disjoint
-/// mutable slice of its chunk, paired with the matching `per_chunk` payload.
-pub fn for_each_chunk_mut_in<T, U, F>(
-    chunks: &Chunks,
-    items: &mut [T],
-    policy: ExecutionPolicy,
-    per_chunk: Vec<U>,
-    f: F,
-) where
-    T: Send,
-    U: Send,
-    F: Fn(Range<usize>, &mut [T], U) + Sync,
-{
-    assert_eq!(
-        chunks.len(),
-        items.len(),
-        "chunk geometry must cover the item slice exactly"
-    );
-    assert_eq!(
-        per_chunk.len(),
-        chunks.count(),
-        "one payload per chunk required"
-    );
-    let ranges = chunks.ranges();
-    // Split `items` into the chunk slices up front so workers own disjoint
-    // mutable views.
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-    let mut rest = items;
-    for range in &ranges {
-        let (head, tail) = rest.split_at_mut(range.len());
-        slices.push(head);
-        rest = tail;
-    }
-    let jobs: Vec<_> = ranges.into_iter().zip(slices).zip(per_chunk).collect();
-    run_jobs(policy, jobs, |((range, slice), payload)| {
-        f(range, slice, payload)
-    });
 }
 
 #[cfg(test)]
@@ -495,24 +428,6 @@ mod tests {
         let chunks = Chunks::degree_weighted(64, &offsets, 4);
         assert_eq!(chunks.count(), 4);
         assert_eq!(chunks.range(0), 0..1, "the hub is isolated in chunk 0");
-    }
-
-    #[test]
-    fn for_each_chunk_mut_partitions_items() {
-        for policy in [ExecutionPolicy::Sequential, ExecutionPolicy::parallel(3)] {
-            let mut items = vec![0usize; 11];
-            let chunks = Chunks::new(items.len(), policy.threads());
-            let payloads: Vec<usize> = (0..chunks.count()).map(|c| c + 1).collect();
-            for_each_chunk_mut(&mut items, policy, payloads, |range, slice, payload| {
-                assert_eq!(slice.len(), range.len());
-                for (offset, item) in slice.iter_mut().enumerate() {
-                    *item = payload * 1000 + range.start + offset;
-                }
-            });
-            for (i, item) in items.iter().enumerate() {
-                assert_eq!(item % 1000, i, "item {i} written by its owner chunk");
-            }
-        }
     }
 
     #[test]

@@ -54,10 +54,7 @@ mod model;
 mod network;
 mod payload;
 
-pub use executor::{
-    for_each_chunk_mut, for_each_chunk_mut_in, host_parallelism, map_chunks, map_chunks_with,
-    Chunks, ExecutionPolicy,
-};
+pub use executor::{host_parallelism, map_chunks, map_chunks_with, Chunks, ExecutionPolicy};
 pub use faults::{CrashWindow, FaultPlan, FaultRates, FaultStats, LinkPartition};
 pub use identifiers::IdAssignment;
 pub use ledger::{LedgerEntry, LedgerSummaryRow, RoundLedger};
