@@ -1431,7 +1431,14 @@ pub fn run_io() -> (Table, Vec<IoMeasurement>) {
         let file_len = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len()).ok();
         let (txt_bytes, snap_bytes) = (file_len(&txt_path), file_len(&snap_path));
         let ids = IdAssignment::scattered(graph.n(), 1);
-        let one_round = |g: &Graph| flood(&mut Network::new(g, Model::Local), &ids, 1, 4);
+        // Zero steps after the first round: every node sends once, folds its
+        // inbox and halts, so exactly one round executes.
+        let one_round = |g: &Graph| {
+            let mut net = Network::new(g, Model::Local);
+            let outputs = flood(&mut net, &ids, 0, 1);
+            assert_eq!(net.rounds(), 1, "first_round_ms times exactly one round");
+            outputs
+        };
         let reference_checksum = adjacency_checksum_graph(&graph);
 
         // The three load paths: best-of-REPS cold start (file → queryable)
