@@ -15,7 +15,7 @@ use distgraph::{
     DynamicGraph, Graph, ListAssignment, NodeId,
 };
 use distsim::{ExecutionPolicy, FaultPlan, IdAssignment, Model, Network};
-use edgecolor::balanced_orientation::compute_balanced_orientation;
+use edgecolor::balanced_orientation::{compute_balanced_orientation, measure_required_beta};
 use edgecolor::defective_edge::{
     defective_two_edge_coloring, measure_defect_ratio, uniform_lambda,
 };
@@ -391,7 +391,10 @@ pub fn run_e6(deltas: &[usize]) -> Table {
         table.push_row(vec![
             delta.to_string(),
             format!("{:.2}", result.eps),
-            format!("{:.1}", result.measured_beta),
+            format!(
+                "{:.1}",
+                measure_required_beta(&bg, &result.orientation, &eta, result.eps)
+            ),
             format!("{:.1}", result.beta),
             result.phases.to_string(),
             result.rounds.to_string(),

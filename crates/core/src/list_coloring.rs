@@ -139,6 +139,65 @@ impl<'a> PartialColoring<'a> {
             .copied()
             .filter(move |&c| ((row_u[c / 64] | row_v[c / 64]) >> (c % 64)) & 1 == 0)
     }
+
+    /// The colors `[lo, hi)` clipped to `L_e` when `L_e` is a contiguous
+    /// range (as in [`ListAssignment::full_palette`] and
+    /// [`ListAssignment::degree_plus_one`]); `None` for a list with gaps.
+    fn contiguous_span(&self, e: EdgeId, lo: Color, hi: Color) -> Option<(Color, Color)> {
+        let list = self.lists.list(e);
+        let (&first, &last) = (list.first()?, list.last()?);
+        (last - first + 1 == list.len()).then(|| (lo.max(first), hi.min(last + 1)))
+    }
+
+    /// The free-color words of `e = (u, v)` over the colors `[a, b)`:
+    /// `!(used[u] | used[v])` word by word, masked to the range, as
+    /// `(word index, word)` pairs in increasing order. Empty when `a ≥ b`.
+    fn free_words(&self, e: EdgeId, a: Color, b: Color) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (u, v) = self.graph.endpoints(e);
+        let row_u = &self.used[u.index() * self.words..][..self.words];
+        let row_v = &self.used[v.index() * self.words..][..self.words];
+        let words = if a < b {
+            a / 64..(b - 1) / 64 + 1
+        } else {
+            0..0
+        };
+        words.map(move |w| {
+            let mut free = !(row_u[w] | row_v[w]);
+            if w == a / 64 {
+                free &= u64::MAX << (a % 64);
+            }
+            if w == (b - 1) / 64 {
+                free &= u64::MAX >> (63 - (b - 1) % 64);
+            }
+            (w, free)
+        })
+    }
+
+    /// The number of available colors of `e` in `[lo, hi)`: a masked
+    /// popcount over the used rows for a contiguous list, the
+    /// [`PartialColoring::available`] walk otherwise.
+    fn count_available(&self, e: EdgeId, lo: Color, hi: Color) -> usize {
+        match self.contiguous_span(e, lo, hi) {
+            Some((a, b)) => self
+                .free_words(e, a, b)
+                .map(|(_, free)| free.count_ones() as usize)
+                .sum(),
+            None => self.available(e).filter(|&c| lo <= c && c < hi).count(),
+        }
+    }
+
+    /// The smallest available color of `e` in `[lo, hi)`: the first set bit
+    /// of the free words for a contiguous list, the
+    /// [`PartialColoring::available`] walk otherwise.
+    fn first_available(&self, e: EdgeId, lo: Color, hi: Color) -> Option<Color> {
+        match self.contiguous_span(e, lo, hi) {
+            Some((a, b)) => self
+                .free_words(e, a, b)
+                .find(|&(_, free)| free != 0)
+                .map(|(w, free)| 64 * w + free.trailing_zeros() as usize),
+            None => self.available(e).find(|&c| lo <= c && c < hi),
+        }
+    }
 }
 
 /// Sets `degree[e]`, for every edge `e` of `bucket`, to the number of other
@@ -190,7 +249,8 @@ fn solve_slack_instance(
     let space = state.lists.space_size().max(2);
     let levels = (space as f64).log2().floor() as u32;
     let eps_level = (1.0 / (space as f64).log2().max(1.0)).clamp(1e-3, 1.0);
-    let passive_threshold = params.split_cutoff(piece.max_edge_degree().max(1), eps_level);
+    let piece_degree = piece.max_edge_degree();
+    let passive_threshold = params.split_cutoff(piece_degree.max(1), eps_level);
 
     // Per-edge color interval [lo, hi) over the global color space, and the
     // phase at which the edge became passive (None = still active).
@@ -247,18 +307,13 @@ fn solve_slack_instance(
             let lambda: Vec<f64> = sub_map
                 .iter()
                 .map(|piece_edge| {
-                    let (mut red, mut total) = (0usize, 0usize);
-                    for c in state.available(edge_map[piece_edge.index()]) {
-                        if c >= lo && c < hi {
-                            total += 1;
-                            red += usize::from(c < mid);
-                        }
-                    }
+                    let host_edge = edge_map[piece_edge.index()];
+                    let total = state.count_available(host_edge, lo, hi);
                     if total == 0 {
-                        0.5
-                    } else {
-                        red as f64 / total as f64
+                        return 0.5;
                     }
+                    let red = state.count_available(host_edge, lo, mid);
+                    red as f64 / total as f64
                 })
                 .collect();
             let orientation_params = params.orientation(eps_level);
@@ -315,9 +370,8 @@ fn solve_slack_instance(
             }
             let (lo, hi) = interval[e.index()];
             let chosen = state
-                .available(host_edge)
-                .find(|c| *c >= lo && *c < hi)
-                .or_else(|| state.available(host_edge).next());
+                .first_available(host_edge, lo, hi)
+                .or_else(|| state.first_available(host_edge, 0, Color::MAX));
             // An empty list is left for the outer fallback; it cannot happen
             // when the slack invariant holds.
             if let Some(chosen) = chosen {
@@ -332,7 +386,7 @@ fn solve_slack_instance(
     net.record_ledger(LedgerEntry {
         depth,
         stage: "solve-finish",
-        delta_level: piece.max_edge_degree(),
+        delta_level: piece_degree,
         edges: m,
         rounds: net.rounds() - finish_rounds_before,
         defect_ratio: f64::NAN,
@@ -377,7 +431,8 @@ fn amplify_slack(
             fallback_rounds,
         };
     }
-    let target_degree = (piece.max_edge_degree() / AMPLIFY_K).max(2);
+    let piece_degree = piece.max_edge_degree();
+    let target_degree = (piece_degree / AMPLIFY_K).max(2);
 
     // Number of edge-splitting levels: enough that an edge's in-group degree
     // drops below |L_e| / S ≈ deg(e) / S. Three levels (8 groups) suffice:
@@ -408,7 +463,8 @@ fn amplify_slack(
         )
     };
     let qualifies = |state: &PartialColoring<'_>, degree: &[usize], e: EdgeId| -> bool {
-        state.available(edge_map[e.index()]).count() as f64 > SLACK_S * degree[e.index()] as f64
+        state.count_available(edge_map[e.index()], 0, Color::MAX) as f64
+            > SLACK_S * degree[e.index()] as f64
     };
 
     // Level-by-level defective splitting of the still-uncolored piece edges.
@@ -464,7 +520,7 @@ fn amplify_slack(
         net.record_ledger(LedgerEntry {
             depth,
             stage: "amplify-split",
-            delta_level: piece.max_edge_degree(),
+            delta_level: piece_degree,
             edges: uncolored,
             rounds: net.rounds() - level_rounds_before,
             defect_ratio: f64::NAN,
@@ -532,8 +588,7 @@ fn amplify_slack(
                 if state.is_colored(host_edge) {
                     continue;
                 }
-                let first = state.available(host_edge).next();
-                if let Some(c) = first {
+                if let Some(c) = state.first_available(host_edge, 0, Color::MAX) {
                     state.set(host_edge, c);
                     any = true;
                 }
@@ -546,7 +601,7 @@ fn amplify_slack(
         net.record_ledger(LedgerEntry {
             depth,
             stage: "amplify-fallback",
-            delta_level: piece.max_edge_degree(),
+            delta_level: piece_degree,
             edges,
             rounds: fallback_rounds,
             defect_ratio: f64::NAN,
@@ -632,12 +687,12 @@ pub fn list_edge_coloring(
     let mut uncolored_subgraph = graph.edge_subgraph(|e| !state.is_colored(e));
     for _ in 0..params.max_outer_iterations {
         let (uncolored, edge_map) = &uncolored_subgraph;
-        if uncolored.m() == 0 || uncolored.max_edge_degree() <= finish_cutoff {
+        let degree_before = uncolored.max_edge_degree();
+        if uncolored.m() == 0 || degree_before <= finish_cutoff {
             break;
         }
         outer_iterations += 1;
         let depth = outer_iterations;
-        let degree_before = uncolored.max_edge_degree();
         let iter_rounds_before = net.rounds();
 
         // Constant-class defective coloring of the uncolored graph
@@ -745,8 +800,7 @@ pub fn list_edge_coloring(
                     continue;
                 }
                 let c = state
-                    .available(host_edge)
-                    .next()
+                    .first_available(host_edge, 0, Color::MAX)
                     .expect("the degree+1 invariant guarantees a free color");
                 state.set(host_edge, c);
                 any = true;
@@ -953,10 +1007,20 @@ mod tests {
         check_outcome(&g, &lists, &outcome);
     }
     /// A random simple graph on `n` nodes (from raw node pairs), random lists
-    /// over `space` colors, and a random proper partial coloring drawn from
-    /// the lists with [`EdgeColoring::colors_around`] as the reference,
-    /// mirrored into a [`PartialColoring`] through its own `set`.
-    fn masks_against_reference(n: usize, pairs: &[(usize, usize)], space: usize, seed: u64) {
+    /// over `space` colors (gapped, or contiguous ranges when `contiguous`),
+    /// and a random proper partial coloring drawn from the lists with
+    /// [`EdgeColoring::colors_around`] as the reference, mirrored into a
+    /// [`PartialColoring`] through its own `set`. The mask-derived available
+    /// lists must equal the reference, and the word-parallel queries
+    /// `count_available` and `first_available` must equal the
+    /// [`PartialColoring::available`] walk on random color ranges.
+    fn masks_against_reference(
+        n: usize,
+        pairs: &[(usize, usize)],
+        space: usize,
+        contiguous: bool,
+        seed: u64,
+    ) {
         let mut edges: Vec<(usize, usize)> = pairs
             .iter()
             .filter(|&&(u, v)| u < n && v < n && u != v)
@@ -972,7 +1036,12 @@ mod tests {
                 .edges()
                 .map(|_| {
                     let size = rng.gen_range(1..24usize);
-                    (0..size).map(|_| rng.gen_range(0..space)).collect()
+                    if contiguous {
+                        let first = rng.gen_range(0..space - size);
+                        (first..first + size).collect()
+                    } else {
+                        (0..size).map(|_| rng.gen_range(0..space)).collect()
+                    }
                 })
                 .collect(),
         );
@@ -1007,6 +1076,23 @@ mod tests {
                 .collect();
             let got: Vec<Color> = state.available(e).collect();
             assert_eq!(got, expected, "available list of {e} (space {space})");
+            let mut ranges = vec![(0, Color::MAX), (0, space), (space, Color::MAX)];
+            for _ in 0..6 {
+                ranges.push((rng.gen_range(0..space + 70), rng.gen_range(0..space + 70)));
+            }
+            for (lo, hi) in ranges {
+                let in_range = |c: &Color| lo <= *c && *c < hi;
+                assert_eq!(
+                    state.count_available(e, lo, hi),
+                    expected.iter().filter(|c| in_range(c)).count(),
+                    "count of {e} in [{lo}, {hi}) (space {space}, contiguous {contiguous})"
+                );
+                assert_eq!(
+                    state.first_available(e, lo, hi),
+                    expected.iter().copied().find(in_range),
+                    "first of {e} in [{lo}, {hi}) (space {space}, contiguous {contiguous})"
+                );
+            }
         }
     }
 
@@ -1082,16 +1168,19 @@ mod tests {
         }
 
         /// The mask-derived available list equals `L_e` minus the colors
-        /// around `e`, for list spaces below 64 colors (one word per node)
-        /// and above it (four words per node).
+        /// around `e`, and the word-parallel list queries equal the walk
+        /// over it, for gapped and contiguous lists over list spaces below
+        /// 64 colors (one word per node) and above it (four words per node).
         #[test]
         fn used_color_masks_match_colors_around(
             n in 2usize..24,
             pairs in proptest::collection::vec((0usize..24, 0usize..24), 0..80),
             wide in 0usize..2,
+            contiguous in 0usize..2,
             seed in 0u64..1 << 48,
         ) {
-            masks_against_reference(n, &pairs, if wide == 1 { 200 } else { 40 }, seed);
+            let space = if wide == 1 { 200 } else { 40 };
+            masks_against_reference(n, &pairs, space, contiguous == 1, seed);
         }
     }
 }
