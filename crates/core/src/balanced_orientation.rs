@@ -29,16 +29,19 @@
 //! * every node's `d⁻`, the smallest degree among its already oriented
 //!   edges (the input of `α_w(φ)`).
 //!
-//! A productive phase makes one pass over the edges in edge order. It finds
-//! `E_φ` and its acceptances (each node takes its `k_φ` smallest edge ids),
-//! the violating edges `F'_{<φ}` and the largest unoriented edge degree, all
-//! from the previous phase's `x` values: the live indegrees, read before
-//! step 4 orients the accepted edges. Three shortcuts follow, and all are
-//! exact:
+//! A phase visits every edge at most once, in edge order, reading the
+//! previous phase's `x` values: the live indegrees, read before step 4
+//! orients the accepted edges. One pass over the unoriented edges finds
+//! `E_φ`, its acceptances (each node takes its `k_φ` smallest edge ids) and
+//! the largest unoriented edge degree; when `E_φ` is not empty, one pass
+//! over the oriented edges finds the violating edges `F'_{<φ}`. Acceptance
+//! reads only `E_φ` and the violation test only oriented edges, so neither
+//! pass depends on the other. Three shortcuts follow, and all are exact:
 //!
 //! * A phase whose threshold `(1−ν)^φ·Δ̄` is at least the degree bound is
-//!   skipped in `O(1)`, and a phase whose pass finds `E_φ` empty is skipped
-//!   the same way. Its `E_φ` is empty, so nothing is proposed, accepted or
+//!   skipped in `O(1)`, and a phase whose pass over the unoriented edges
+//!   finds `E_φ` empty is skipped the same way, before the oriented edges
+//!   are read. Its `E_φ` is empty, so nothing is proposed, accepted or
 //!   moved, and the schedule `(threshold, k_φ, δ_φ)` depends only on `φ`.
 //! * An inert repair game is not built. A game runs `⌊k_φ/δ_φ⌋ − 1` phases,
 //!   and in its first only a node holding at least `α_w + δ_φ` tokens acts,
@@ -108,7 +111,8 @@ pub fn compute_balanced_orientation(
     assert_eq!(eta.len(), graph.m(), "one eta value per edge");
 
     let mut orientation = Orientation::new(graph);
-    let dbar = graph.max_edge_degree().max(1);
+    let max_edge_degree = graph.max_edge_degree();
+    let dbar = max_edge_degree.max(1);
     let nu = params.nu;
     let message_bits = bits_for(graph.n().max(dbar) as u64) as u64 + 4;
     let max_phases = params.phase_count(dbar);
@@ -125,7 +129,7 @@ pub fn compute_balanced_orientation(
         .collect();
     let mut unoriented_deg: Vec<u32> = graph.nodes().map(|w| graph.degree(w) as u32).collect();
     let mut d_minus = vec![usize::MAX; graph.n()];
-    let mut max_unoriented_degree = graph.max_edge_degree();
+    let mut max_unoriented_degree = max_edge_degree;
     // Scratch for numbering a game's players: a bitset marking them, and
     // the local id of each (meaningful only for the current game's players).
     let mut is_player = vec![0u64; graph.n().div_ceil(64)];
@@ -149,21 +153,13 @@ pub fn compute_balanced_orientation(
             continue;
         }
 
-        // One pass in edge order, reading the x values of the previous phase
-        // (the live indegrees, which step 4 has not touched yet). It walks
-        // the edges 64 at a time, the unoriented ones of a block and then
-        // its oriented ones, each in edge order:
-        //
-        // * Steps 1–3: an unoriented edge whose unoriented edge degree
-        //   exceeds (1 − ν)^φ · Δ̄ is in E_φ and proposes to one of its
-        //   endpoints; each node accepts at most k_φ proposals,
-        //   deterministically the ones with the smallest edge identifiers.
-        // * Step 5: F'_{<φ} = the oriented edges currently violating the η
-        //   condition.
-        // * The exact largest unoriented edge degree.
-        //
-        // Acceptance reads only E_φ and the violation test only oriented
-        // edges, so the two kinds need each other's order in no way.
+        // Steps 1–3 in one pass over the unoriented edges in edge order,
+        // reading the x values of the previous phase (the live indegrees,
+        // which step 4 has not touched yet): an edge whose unoriented edge
+        // degree exceeds (1 − ν)^φ · Δ̄ is in E_φ and proposes to one of its
+        // endpoints, and each node accepts at most k_φ proposals,
+        // deterministically the ones with the smallest edge identifiers. The
+        // same pass finds the exact largest unoriented edge degree.
         let k_phi = params.k_phi(phi, dbar);
         // An integer degree exceeds the threshold exactly when it exceeds
         // its floor.
@@ -172,46 +168,27 @@ pub fn compute_balanced_orientation(
         let mut e_phi_len = 0usize;
         let mut largest = 0usize;
         let mut accepted: Vec<(EdgeId, NodeId)> = Vec::new();
-        let mut violating: Vec<EdgeId> = Vec::new();
-        for (i, &word) in unoriented.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let e = EdgeId::new(64 * i + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let (a, b) = graph.endpoints(e);
-                let degree = (unoriented_deg[a.index()] + unoriented_deg[b.index()]) as usize - 2;
-                largest = largest.max(degree);
-                if degree <= cutoff {
-                    continue;
-                }
-                e_phi_len += 1;
-                let (u, v) = if bg.side(a) == Side::U {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let target = if x(v) - x(u) <= eta[e.index()] as i64 {
-                    v
-                } else {
-                    u
-                };
-                if accepted_count[target.index()] < k_phi {
-                    accepted_count[target.index()] += 1;
-                    accepted.push((e, target));
-                }
+        for e in set_edges(unoriented.iter().copied()) {
+            let (a, b) = graph.endpoints(e);
+            let degree = (unoriented_deg[a.index()] + unoriented_deg[b.index()]) as usize - 2;
+            largest = largest.max(degree);
+            if degree <= cutoff {
+                continue;
             }
-            let mut bits = !word & word_mask(graph.m(), i);
-            while bits != 0 {
-                let e = EdgeId::new(64 * i + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                // x_head − x_tail exceeds η_e (head in V) or −η_e (head in U).
-                let head = orientation.head(e).expect("the edge is oriented");
-                let tail = graph.other_endpoint(e, head);
-                let he = eta[e.index()];
-                let bound = if bg.side(head) == Side::V { he } else { -he };
-                if (x(head) - x(tail)) as f64 > bound {
-                    violating.push(e);
-                }
+            e_phi_len += 1;
+            let (u, v) = if bg.side(a) == Side::U {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            let target = if x(v) - x(u) <= eta[e.index()] as i64 {
+                v
+            } else {
+                u
+            };
+            if accepted_count[target.index()] < k_phi {
+                accepted_count[target.index()] += 1;
+                accepted.push((e, target));
             }
         }
         max_unoriented_degree = largest;
@@ -219,6 +196,24 @@ pub fn compute_balanced_orientation(
             continue;
         }
         phases_run += 1;
+
+        // Step 5, in one pass over the oriented edges in edge order: F'_{<φ}
+        // = the edges currently violating the η condition (with the same x
+        // values), i.e. x_head − x_tail exceeds η_e (head in V) or −η_e
+        // (head in U).
+        let oriented = unoriented
+            .iter()
+            .enumerate()
+            .map(|(i, &word)| !word & word_mask(graph.m(), i));
+        let violating: Vec<EdgeId> = set_edges(oriented)
+            .filter(|&e| {
+                let head = orientation.head(e).expect("the edge is oriented");
+                let tail = graph.other_endpoint(e, head);
+                let he = eta[e.index()];
+                let bound = if bg.side(head) == Side::V { he } else { -he };
+                (x(head) - x(tail)) as f64 > bound
+            })
+            .collect();
 
         // Step 4: newly accepted edges get oriented towards the acceptor.
         for &(e, head) in &accepted {
@@ -325,14 +320,9 @@ pub fn compute_balanced_orientation(
     // Any edge still unoriented after the phases has only O(1) unoriented
     // neighbors (Lemma 5.4); orient it arbitrarily (towards its V endpoint).
     if unoriented_left > 0 {
-        for (i, &word) in unoriented.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let e = EdgeId::new(64 * i + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let (_, v) = bg.endpoints_uv(e);
-                orientation.orient(graph, e, v);
-            }
+        for e in set_edges(unoriented.iter().copied()) {
+            let (_, v) = bg.endpoints_uv(e);
+            orientation.orient(graph, e, v);
         }
         net.charge_rounds(1);
         net.charge_messages(unoriented_left as u64, message_bits);
@@ -368,6 +358,22 @@ pub fn compute_balanced_orientation(
         phases: phases_run,
         rounds: net.rounds() - rounds_before,
     }
+}
+
+/// The edges of a bitset over edge ids (bit `e % 64` of word `e / 64`), in
+/// increasing order.
+fn set_edges(words: impl Iterator<Item = u64>) -> impl Iterator<Item = EdgeId> {
+    let mut words = words.enumerate();
+    let (mut base, mut word) = (0, 0u64);
+    std::iter::from_fn(move || {
+        while word == 0 {
+            let (i, next) = words.next()?;
+            (base, word) = (64 * i, next);
+        }
+        let e = EdgeId::new(base + word.trailing_zeros() as usize);
+        word &= word - 1;
+        Some(e)
+    })
 }
 
 /// The bits of word `i` of an `m`-bit set that stand for edges: all of

@@ -454,11 +454,18 @@ fn amplify_slack(
     // group.
     let mut count = vec![0u32; piece.n()];
     let mut degree = vec![0usize; piece.m()];
-    let uncolored_by_group = |state: &PartialColoring<'_>, group: &[usize]| {
+    // The splits color nothing, so the piece's uncolored edges stay the same
+    // until the first group is solved: they are read from the host
+    // coloring once.
+    let is_uncolored: Vec<bool> = piece
+        .edges()
+        .map(|e| !state.is_colored(edge_map[e.index()]))
+        .collect();
+    let uncolored_by_group = |group: &[usize]| {
         EdgeClasses::new(
             piece
                 .edges()
-                .filter(|&e| !state.is_colored(edge_map[e.index()]))
+                .filter(|e| is_uncolored[e.index()])
                 .map(|e| (group[e.index()], e)),
         )
     };
@@ -476,7 +483,7 @@ fn amplify_slack(
     let mut group: Vec<usize> = vec![0; piece.m()];
     for _level in 0..levels {
         let level_rounds_before = net.rounds();
-        let groups = uncolored_by_group(state, &group);
+        let groups = uncolored_by_group(&group);
         for edges in groups.iter() {
             bucket_degrees(piece, edges, &mut count, &mut degree);
         }
@@ -499,8 +506,8 @@ fn amplify_slack(
             .collect();
         let mut level_metrics: Vec<Metrics> = Vec::new();
         for g in groups_present {
-            let (sub, sub_map) = bg
-                .edge_subgraph(|e| group[e.index()] == g && !state.is_colored(edge_map[e.index()]));
+            let (sub, sub_map) =
+                bg.edge_subgraph(|e| group[e.index()] == g && is_uncolored[e.index()]);
             if sub.graph().m() == 0 {
                 continue;
             }
@@ -533,7 +540,7 @@ fn amplify_slack(
     // only its own edges, so the later groups' edges stay uncolored and
     // their in-group degrees are unchanged; their available lists are read
     // when their turn comes.
-    for edges in uncolored_by_group(state, &group).iter() {
+    for edges in uncolored_by_group(&group).iter() {
         bucket_degrees(piece, edges, &mut count, &mut degree);
         let selected: Vec<EdgeId> = edges
             .iter()

@@ -498,13 +498,16 @@ impl Graph {
     /// already sorted by neighbor id and free of duplicates, so a filtered
     /// slice is too, and no hashing or sorting is needed.
     pub fn edge_subgraph(&self, keep: impl Fn(EdgeId) -> bool) -> (Graph, Vec<EdgeId>) {
-        const DROPPED: usize = usize::MAX;
+        // New ids are edge ids, so one `u32` each; `u32::MAX` marks a
+        // dropped edge (a kept edge could carry it only in a subgraph of
+        // 2^32 edges).
+        const DROPPED: u32 = u32::MAX;
         let mut new_id = vec![DROPPED; self.m()];
         let mut kept_edges = Vec::new();
         let mut endpoints = Vec::new();
         for e in self.edges() {
             if keep(e) {
-                new_id[e.index()] = kept_edges.len();
+                new_id[e.index()] = kept_edges.len() as u32;
                 kept_edges.push(e);
                 endpoints.push(self.endpoints(e));
             }
@@ -517,7 +520,7 @@ impl Graph {
                 let id = new_id[nb.edge.index()];
                 (id != DROPPED).then(|| Neighbor {
                     node: nb.node,
-                    edge: EdgeId::new(id),
+                    edge: EdgeId(id),
                 })
             }));
             offsets.push(adj.len());
