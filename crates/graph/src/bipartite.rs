@@ -113,10 +113,11 @@ impl BipartiteGraph {
     /// `keep`, preserving the side labels. Returns the subgraph and the map
     /// from new edge ids to original edge ids.
     pub fn edge_subgraph(&self, keep: impl Fn(EdgeId) -> bool) -> (BipartiteGraph, Vec<EdgeId>) {
-        let (sub, map) = self.graph.edge_subgraph(keep);
-        let bg = BipartiteGraph::new(sub, self.sides.clone())
-            .expect("subgraph of a bipartite graph with the same sides is bipartite");
-        (bg, map)
+        // Every kept edge crosses the sides already, so there is nothing to
+        // validate.
+        let (graph, map) = self.graph.edge_subgraph(keep);
+        let sides = self.sides.clone();
+        (BipartiteGraph { graph, sides }, map)
     }
 }
 
