@@ -518,7 +518,7 @@ impl Graph {
         for v in self.nodes() {
             adj.extend(self.neighbors(v).iter().filter_map(|nb| {
                 let id = new_id[nb.edge.index()];
-                (id != DROPPED).then(|| Neighbor {
+                (id != DROPPED).then_some(Neighbor {
                     node: nb.node,
                     edge: EdgeId(id),
                 })
