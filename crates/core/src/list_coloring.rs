@@ -35,7 +35,11 @@
 //! [`EdgeColoring::colors_around`], without building a set or an adjacency
 //! list per query. Used sets only ever grow during a run, so a slack-`S`
 //! instance reads its edges' available lists through the masks instead of
-//! snapshotting them.
+//! snapshotting them. When `L_e` is a contiguous range of colors, as in
+//! [`ListAssignment::full_palette`] and
+//! [`ListAssignment::degree_plus_one`], the number of available colors in
+//! a range and the first of them are read a word at a time (a masked
+//! popcount and `trailing_zeros`) instead of walking the list.
 
 use crate::defective_edge::defective_two_edge_coloring;
 use crate::defective_vertex::defective_four_coloring;
