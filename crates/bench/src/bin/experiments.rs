@@ -213,7 +213,7 @@ fn main() {
     let mut scale_measurements = Vec::new();
     if scale_wanted {
         timed(&mut || {
-            let (table, measurements) = bench::run_scale(&[1, 2, 4, 8], !smoke);
+            let (table, measurements) = bench::run_scale(!smoke);
             scale_measurements = measurements;
             table
         });
@@ -422,16 +422,7 @@ fn build_json(
                 ("graph", JsonValue::str(m.graph.clone())),
                 ("n", JsonValue::Int(m.n as i64)),
                 ("m", JsonValue::Int(m.m as i64)),
-                ("threads", JsonValue::Int(m.threads as i64)),
                 ("wall_ms", JsonValue::Num(m.wall_ms)),
-                (
-                    "speedup_vs_sequential",
-                    JsonValue::Num(m.speedup_vs_sequential),
-                ),
-                (
-                    "identical_to_sequential",
-                    JsonValue::Bool(m.identical_to_sequential),
-                ),
                 ("rounds", JsonValue::Int(m.rounds as i64)),
                 ("messages", JsonValue::Int(m.messages as i64)),
                 ("rounds_per_sec", JsonValue::Num(m.rounds_per_sec)),
@@ -440,11 +431,6 @@ fn build_json(
                     "allocs_per_round",
                     JsonValue::Int(m.allocs_per_round as i64),
                 ),
-                (
-                    "speedup_floor",
-                    m.speedup_floor.map_or(JsonValue::Null, JsonValue::Num),
-                ),
-                ("meets_floor", JsonValue::Bool(m.meets_floor)),
             ])
         })
         .collect();
@@ -479,10 +465,6 @@ fn build_json(
                 ("corrupted_edges", opt_int(m.corrupted_edges)),
                 ("conflicts_found", opt_int(m.conflicts_found)),
                 ("repaired_edges", opt_int(m.repaired_edges)),
-                (
-                    "identical_across_policies",
-                    JsonValue::Bool(m.identical_across_policies),
-                ),
                 ("wall_ms", JsonValue::Num(m.wall_ms)),
             ])
         })

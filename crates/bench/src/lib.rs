@@ -14,7 +14,7 @@ use distgraph::{
     generators::{self, UpdateScenario, UpdateStream},
     DynamicGraph, Graph, ListAssignment, NodeId,
 };
-use distsim::{ExecutionPolicy, FaultPlan, IdAssignment, Model, Network};
+use distsim::{FaultPlan, IdAssignment, Model, Network};
 use edgecolor::balanced_orientation::{compute_balanced_orientation, measure_required_beta};
 use edgecolor::defective_edge::{
     defective_two_edge_coloring, measure_defect_ratio, uniform_lambda,
@@ -553,14 +553,8 @@ pub struct ScaleMeasurement {
     pub n: usize,
     /// Number of edges.
     pub m: usize,
-    /// Worker threads of the measured [`ExecutionPolicy`] (1 = sequential).
-    pub threads: usize,
     /// Wall-clock time of the simulated execution, in milliseconds.
     pub wall_ms: f64,
-    /// `sequential wall / this wall` (1.0 for the sequential row itself).
-    pub speedup_vs_sequential: f64,
-    /// Whether outputs and metrics were bit-identical to the sequential run.
-    pub identical_to_sequential: bool,
     /// Rounds charged by the simulated execution.
     pub rounds: u64,
     /// Messages delivered by the simulated execution.
@@ -577,41 +571,12 @@ pub struct ScaleMeasurement {
     /// (see [`ALLOC_EVENTS`]) divided by the round count. Includes the run's
     /// one-time setup *and* the flooding program's own per-node send
     /// vectors (which are O(n) by workload design), so this is not a
-    /// measure of the engine's steady-state rate — the strict O(active
-    /// chunks) pin lives in `crates/sim/tests/alloc_budget.rs`. The count
+    /// measure of the engine's steady-state rate — the strict constant
+    /// per-round pin lives in `crates/sim/tests/alloc_budget.rs`. The count
     /// is deterministic for a fixed binary and is diffed exactly, so any
     /// engine change that re-grows per-round allocations shows up as a
     /// drift. Zero when no counting allocator is installed.
     pub allocs_per_round: u64,
-    /// The minimum speedup this configuration is *expected* to reach on the
-    /// measuring host, per [`expected_speedup_floor`]; `None` when the host
-    /// cannot parallelize that far (or the run is a down-scaled smoke run),
-    /// in which case `speedup_vs_sequential` carries no expectation at all.
-    pub speedup_floor: Option<f64>,
-    /// `speedup_vs_sequential >= speedup_floor` (trivially `true` when no
-    /// floor applies). Informational: determinism is the hard guarantee,
-    /// wall-clock is host-dependent.
-    pub meets_floor: bool,
-}
-
-/// The minimum SCALE speedup a `threads`-worker run is expected to reach on
-/// a host with `host_parallelism` hardware threads, or `None` when no
-/// expectation applies.
-///
-/// A single-CPU container (like the one that recorded `BENCH_1.json`, see
-/// `host.available_parallelism`) time-slices every worker onto one core, so
-/// sub-1.0 "speedups" there are scheduling noise, not regressions — the
-/// bit-identity of the parallel engine is asserted unconditionally, the
-/// wall-clock expectation only where the hardware can express it. 2-thread
-/// runs just must not lose; once the host has ≥ 4 real cores backing ≥ 4
-/// workers (`threads ≥ 4` here implies `host_parallelism ≥ 4` via the
-/// oversubscription gate), the allocation-free delivery path is expected to
-/// scale to a genuine ≥ 2× win.
-pub fn expected_speedup_floor(threads: usize, host_parallelism: usize) -> Option<f64> {
-    if threads <= 1 || host_parallelism < 2 || threads > host_parallelism {
-        return None;
-    }
-    Some(if threads >= 4 { 2.0 } else { 1.05 })
 }
 
 /// The workload of the SCALE, FAULT and IO experiments: max-identifier
@@ -639,7 +604,7 @@ fn flood(
     let mut sending = vec![true; graph.n()];
     let mut outputs = vec![None; graph.n()];
     while net.rounds() < max_rounds && outputs.iter().any(Option::is_none) {
-        let mail = net.exchange_sync(|v| {
+        let mail = net.exchange(|v| {
             if !sending[v.index()] {
                 return Vec::new();
             }
@@ -702,41 +667,26 @@ pub fn scale_graphs(million: bool) -> Vec<(String, Graph)> {
     }
 }
 
-/// Scale — wall-clock of the parallel round-execution engine versus thread
-/// count on large graphs (the `BENCH_*.json` speed baseline).
+/// Scale — wall-clock, throughput and allocations of the round engine on
+/// large graphs (the `BENCH_*.json` speed baseline).
 ///
-/// For every graph the same fixed flooding program runs once per requested
-/// thread count (1 = `ExecutionPolicy::Sequential`); the harness asserts that
-/// outputs and metrics are bit-identical across all thread counts and
-/// records wall-clock milliseconds plus the speedup relative to the
-/// sequential run.
-pub fn run_scale(thread_counts: &[usize], million: bool) -> (Table, Vec<ScaleMeasurement>) {
+/// For every graph the same fixed flooding program runs once per
+/// repetition; the row records the best wall-clock milliseconds and the
+/// cheapest repetition's allocation count.
+pub fn run_scale(million: bool) -> (Table, Vec<ScaleMeasurement>) {
     const FLOOD_ROUNDS: u32 = 6;
     let mut table = Table::new(
         "SCALE",
-        "Parallel engine wall-clock vs threads (6 flooding rounds per graph)",
+        "Round engine wall-clock (6 flooding rounds per graph)",
         &[
             "graph",
             "n",
             "m",
-            "threads",
             "wall ms",
             "rounds/s",
             "KiB/round",
             "allocs/round",
-            "speedup",
-            "floor",
-            "identical",
         ],
-    );
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    // The first configuration seeds the reference the `*_vs_sequential`
-    // fields are computed against, so it must be the sequential baseline.
-    assert!(
-        thread_counts.first().is_some_and(|&t| t <= 1),
-        "thread_counts must start with the sequential baseline (1)"
     );
     let mut measurements = Vec::new();
     // Best-of-N wall clock per configuration to damp scheduler noise on the
@@ -744,86 +694,45 @@ pub fn run_scale(thread_counts: &[usize], million: bool) -> (Table, Vec<ScaleMea
     let reps = if million { 2 } else { 1 };
     for (name, graph) in scale_graphs(million) {
         let ids = IdAssignment::scattered(graph.n(), 1);
-        let mut reference: Option<(Vec<Option<u64>>, distsim::Metrics, f64)> = None;
-        for &threads in thread_counts {
-            let policy = if threads <= 1 {
-                ExecutionPolicy::Sequential
-            } else {
-                ExecutionPolicy::parallel(threads)
-            };
-            let mut wall_ms = f64::INFINITY;
-            let mut alloc_delta = u64::MAX;
-            let mut run = None;
-            for _ in 0..reps {
-                let allocs_before = alloc_events();
-                let started = Instant::now();
-                let mut net = Network::with_policy(&graph, Model::Local, policy);
-                let outputs = flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 2);
-                wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-                // The cheapest rep, like the best wall clock: later reps of
-                // a deterministic run repeat the same allocation sequence,
-                // minus any one-off lazy initialization of the first.
-                alloc_delta = alloc_delta.min(alloc_events() - allocs_before);
-                run = Some((outputs, net.metrics()));
-            }
-            let (outputs, metrics) = run.expect("at least one repetition");
-            let (identical, speedup) = match &reference {
-                None => {
-                    reference = Some((outputs, metrics, wall_ms));
-                    (true, 1.0)
-                }
-                Some((ref_outputs, ref_metrics, ref_wall)) => (
-                    *ref_outputs == outputs && *ref_metrics == metrics,
-                    ref_wall / wall_ms,
-                ),
-            };
-            // Determinism is asserted unconditionally — it holds on any
-            // hardware. Wall-clock expectations are gated on the host (and
-            // only for the full-size suite): see `expected_speedup_floor`.
-            assert!(
-                identical,
-                "{name}: {threads}-thread run diverged from the sequential run"
-            );
-            let speedup_floor = if million {
-                expected_speedup_floor(threads, host_parallelism)
-            } else {
-                None
-            };
-            let meets_floor = speedup_floor.is_none_or(|floor| speedup >= floor);
-            let rounds_per_sec = metrics.rounds as f64 / (wall_ms / 1e3).max(1e-9);
-            let bytes_per_round =
-                metrics.total_bits as f64 / 8.0 / (metrics.rounds as f64).max(1.0);
-            let allocs_per_round = alloc_delta / metrics.rounds.max(1);
-            table.push_row(vec![
-                name.clone(),
-                graph.n().to_string(),
-                graph.m().to_string(),
-                threads.to_string(),
-                format!("{wall_ms:.1}"),
-                format!("{rounds_per_sec:.1}"),
-                format!("{:.3}", bytes_per_round / 1024.0),
-                allocs_per_round.to_string(),
-                format!("{speedup:.2}"),
-                speedup_floor.map_or("-".to_string(), |f| format!("{f:.2}")),
-                identical.to_string(),
-            ]);
-            measurements.push(ScaleMeasurement {
-                graph: name.clone(),
-                n: graph.n(),
-                m: graph.m(),
-                threads,
-                wall_ms,
-                speedup_vs_sequential: speedup,
-                identical_to_sequential: identical,
-                rounds: metrics.rounds,
-                messages: metrics.messages,
-                rounds_per_sec,
-                bytes_per_round,
-                allocs_per_round,
-                speedup_floor,
-                meets_floor,
-            });
+        let mut wall_ms = f64::INFINITY;
+        let mut alloc_delta = u64::MAX;
+        let mut metrics = None;
+        for _ in 0..reps {
+            let allocs_before = alloc_events();
+            let started = Instant::now();
+            let mut net = Network::new(&graph, Model::Local);
+            flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 2);
+            wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            // The cheapest rep, like the best wall clock: later reps of a
+            // deterministic run repeat the same allocation sequence, minus
+            // any one-off lazy initialization of the first.
+            alloc_delta = alloc_delta.min(alloc_events() - allocs_before);
+            metrics = Some(net.metrics());
         }
+        let metrics = metrics.expect("at least one repetition");
+        let rounds_per_sec = metrics.rounds as f64 / (wall_ms / 1e3).max(1e-9);
+        let bytes_per_round = metrics.total_bits as f64 / 8.0 / (metrics.rounds as f64).max(1.0);
+        let allocs_per_round = alloc_delta / metrics.rounds.max(1);
+        table.push_row(vec![
+            name.clone(),
+            graph.n().to_string(),
+            graph.m().to_string(),
+            format!("{wall_ms:.1}"),
+            format!("{rounds_per_sec:.1}"),
+            format!("{:.3}", bytes_per_round / 1024.0),
+            allocs_per_round.to_string(),
+        ]);
+        measurements.push(ScaleMeasurement {
+            graph: name,
+            n: graph.n(),
+            m: graph.m(),
+            wall_ms,
+            rounds: metrics.rounds,
+            messages: metrics.messages,
+            rounds_per_sec,
+            bytes_per_round,
+            allocs_per_round,
+        });
     }
     (table, measurements)
 }
@@ -1041,11 +950,7 @@ pub struct FaultMeasurement {
     pub conflicts_found: Option<u64>,
     /// Edges the self-stabilizing repair recolored (recovery rows).
     pub repaired_edges: Option<u64>,
-    /// Whether the run was bit-identical across the Sequential and
-    /// Parallel policies (asserted in-harness — a `false` never survives a
-    /// run).
-    pub identical_across_policies: bool,
-    /// Wall-clock milliseconds of the measured (sequential) execution.
+    /// Wall-clock milliseconds of the measured execution.
     pub wall_ms: f64,
 }
 
@@ -1085,10 +990,9 @@ fn fault_configs() -> Vec<(String, Graph, FaultPlan)> {
 /// (drops, duplicates, delays, crashes, healing link partitions) plus
 /// corruption-recovery through the self-stabilizing repair pipeline.
 ///
-/// Per configuration the harness (a) runs the flood program under the plan
-/// sequentially and under `Parallel{4}`, asserting the two runs are
-/// bit-identical (the determinism-under-faults contract), and (b) corrupts a fraction of a maintained coloring with the
-/// plan's seed, stabilizes, and re-validates through the full checkers.
+/// Per configuration the harness (a) runs the flood program under the plan,
+/// and (b) corrupts a fraction of a maintained coloring with the plan's
+/// seed, stabilizes, and re-validates through the full checkers.
 /// All recorded quantities except wall-clock are deterministic, which is
 /// what makes the rows a CI regression contract (see
 /// [`crate::regression`]).
@@ -1096,7 +1000,7 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
     const FLOOD_ROUNDS: u32 = 8;
     let mut table = Table::new(
         "FAULT",
-        "Fault adversary: delivery losses, recovery cost and policy bit-identity",
+        "Fault adversary: delivery losses and recovery cost",
         &[
             "workload",
             "graph",
@@ -1111,7 +1015,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             "cut drop",
             "conflicts",
             "repaired",
-            "identical",
             "wall ms",
         ],
     );
@@ -1119,21 +1022,14 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
     let params = ColoringParams::new(0.5);
     for (name, graph, plan) in fault_configs() {
         let ids = IdAssignment::scattered(graph.n(), 7);
-        let flood_under = |policy| {
-            let mut net = Network::with_policy(&graph, Model::Local, policy);
-            net.install_faults(plan.clone());
-            let outputs = flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 6);
-            (outputs, net.metrics(), net.fault_stats())
-        };
-        // Flood under the adversary: sequential reference plus the policy
-        // bit-identity assertion.
+        // Flood under the adversary.
         let started = Instant::now();
-        let reference = flood_under(ExecutionPolicy::Sequential);
+        let mut net = Network::new(&graph, Model::Local);
+        net.install_faults(plan.clone());
+        flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 6);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let identical = flood_under(ExecutionPolicy::parallel(4)) == reference;
-        assert!(identical, "{name}: faulty flood diverged across policies");
-        let (_, metrics, stats) = reference;
-        let stats = stats.expect("faulty run carries stats");
+        let metrics = net.metrics();
+        let stats = net.fault_stats().expect("faulty run carries stats");
         table.push_row(vec![
             "flood".to_string(),
             name.clone(),
@@ -1148,7 +1044,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             stats.partition_dropped.to_string(),
             "-".to_string(),
             "-".to_string(),
-            identical.to_string(),
             format!("{wall_ms:.1}"),
         ]);
         let (drop_pm, dup_pm, delay_pm, crashes, cuts) = plan_shape(&plan);
@@ -1173,7 +1068,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             corrupted_edges: None,
             conflicts_found: None,
             repaired_edges: None,
-            identical_across_policies: identical,
             wall_ms,
         });
 
@@ -1208,7 +1102,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             "-".to_string(),
             report.conflicts_found.to_string(),
             report.repaired_edges.to_string(),
-            "true".to_string(),
             format!("{recovery_ms:.1}"),
         ]);
         measurements.push(FaultMeasurement {
@@ -1232,7 +1125,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
             corrupted_edges: Some(touched.len() as u64),
             conflicts_found: Some(report.conflicts_found as u64),
             repaired_edges: Some(report.repaired_edges as u64),
-            identical_across_policies: true,
             wall_ms: recovery_ms,
         });
     }
@@ -1975,12 +1867,10 @@ mod tests {
 
     #[test]
     fn scale_experiment_smoke_runs_and_is_deterministic() {
-        let (table, measurements) = run_scale(&[1, 2, 3], false);
+        let (table, measurements) = run_scale(false);
         assert_eq!(table.rows.len(), measurements.len());
-        assert_eq!(measurements.len(), 3 * 3);
+        assert_eq!(measurements.len(), 3);
         for m in &measurements {
-            // Determinism is the unconditional guarantee, on any host.
-            assert!(m.identical_to_sequential, "{}: diverged", m.graph);
             assert!(m.wall_ms >= 0.0);
             assert!(m.rounds > 0);
             assert!(m.messages > 0);
@@ -1991,34 +1881,15 @@ mod tests {
             // The unit-test binary installs no counting allocator, so the
             // hook stays at zero and the column must honestly report 0.
             assert_eq!(m.allocs_per_round, 0);
-            // Down-scaled smoke runs never carry a wall-clock expectation.
-            assert_eq!(m.speedup_floor, None);
-            assert!(m.meets_floor);
         }
-        // The sequential row of each graph has speedup exactly 1.
-        for chunk in measurements.chunks(3) {
-            assert_eq!(chunk[0].threads, 1);
-            assert!((chunk[0].speedup_vs_sequential - 1.0).abs() < 1e-12);
+        // Everything except wall-clock replays exactly.
+        let (_, repeat) = run_scale(false);
+        for (a, b) in measurements.iter().zip(&repeat) {
+            assert_eq!(a.graph, b.graph);
+            assert_eq!(a.rounds, b.rounds);
+            assert_eq!(a.messages, b.messages);
+            assert_eq!(a.bytes_per_round, b.bytes_per_round);
         }
-    }
-
-    #[test]
-    fn speedup_floor_is_gated_on_host_parallelism() {
-        // The sequential baseline and any host that cannot run the workers
-        // on real cores carry no expectation: a 1-CPU container (the host
-        // that recorded BENCH_1.json) must not read ~0.9× as a regression.
-        assert_eq!(expected_speedup_floor(1, 64), None);
-        assert_eq!(expected_speedup_floor(4, 1), None);
-        assert_eq!(expected_speedup_floor(8, 4), None); // oversubscribed
-        assert_eq!(expected_speedup_floor(2, 1), None);
-        // With enough hardware the floors are real: 2-thread runs must not
-        // lose, and the ≥2× @ ≥4-thread expectation auto-activates as soon
-        // as the host has ≥ 4 cores backing the workers (threads ≥ 4 passes
-        // the oversubscription gate only when host ≥ 4).
-        assert_eq!(expected_speedup_floor(2, 2), Some(1.05));
-        assert_eq!(expected_speedup_floor(4, 4), Some(2.0));
-        assert_eq!(expected_speedup_floor(4, 8), Some(2.0));
-        assert_eq!(expected_speedup_floor(8, 8), Some(2.0));
     }
 
     #[test]
@@ -2069,7 +1940,6 @@ mod tests {
             assert_eq!(a.repaired_edges, b.repaired_edges);
         }
         for m in &measurements {
-            assert!(m.identical_across_policies, "{}: diverged", m.graph);
             match m.workload.as_str() {
                 "flood" => {
                     assert!(m.dropped > 0, "{}: adversary idle", m.graph);

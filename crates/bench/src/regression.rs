@@ -33,11 +33,8 @@ pub enum Rule {
     /// Host-dependent (wall clock, speedups, RSS): never compared.
     Ignore,
     /// Host-dependent, but the *fresh* value must be at least this floor;
-    /// the baseline value is never compared. Used for
-    /// `speedup_vs_sequential`: its absolute value is host noise, but after
-    /// the executor learned to skip worker spawns that cannot overlap
-    /// (single-hardware-thread hosts), a parallel run must never be
-    /// meaningfully *slower* than the sequential one.
+    /// the baseline value is never compared. Used for throughput floors
+    /// (`rounds_per_sec`, `qps`) and the IO cold-start speedup.
     MinFresh(f64),
 }
 
@@ -47,9 +44,6 @@ const IGNORED_TABLE_COLUMNS: &[&str] = &[
     "wall ms",
     "repair wall ms",
     "initial color ms",
-    "speedup",
-    // `floor` is derived from the measuring host's parallelism.
-    "floor",
     // Wall-clock-derived throughput; the `scale` measurement array holds
     // the same quantity to a MinFresh floor instead.
     "rounds/s",
@@ -128,7 +122,7 @@ pub fn key_columns(id: &str) -> &'static [&'static str] {
         "E4/E8" => &["k", "δ"],
         "E9" => &["family"],
         "E10" => &["list shape"],
-        "SCALE" => &["graph", "threads"],
+        "SCALE" => &["graph"],
         "DYN" => &["scenario", "n", "m"],
         "FAULT" => &["workload", "graph", "seed"],
         "IO" => &["graph", "method"],
@@ -139,21 +133,16 @@ pub fn key_columns(id: &str) -> &'static [&'static str] {
 
 /// Identity fields and compared fields of the `scale` measurement array.
 pub const SCALE_FIELDS: (&[&str], &[(&str, Rule)]) = (
-    &["graph", "threads"],
+    &["graph"],
     &[
         ("n", Rule::Exact),
         ("m", Rule::Exact),
         ("rounds", Rule::Exact),
         ("messages", Rule::Exact),
-        // Wall-clock derived, so its value is host noise — but it must not
-        // fall below ~1.0: the executor runs the identical chunk geometry
-        // inline when spawning cannot overlap, so even a 1-CPU host pays
-        // only bookkeeping overhead over the sequential run.
-        ("speedup_vs_sequential", Rule::MinFresh(0.95)),
         // Absolute throughput is host noise too, but falling below one
         // simulated round per second on any row — the million-edge suite
         // sustains an order of magnitude more on a single core — means the
-        // delivery path fell off a cliff (e.g. an O(n·threads) scan or a
+        // delivery path fell off a cliff (e.g. an O(n²) scan or a
         // per-message allocation crept back in).
         ("rounds_per_sec", Rule::MinFresh(1.0)),
         // Deterministic derivation of the exactly-compared metrics
@@ -612,7 +601,6 @@ mod tests {
                 "scale",
                 JsonValue::Arr(vec![JsonValue::obj(vec![
                     ("graph", JsonValue::str("g")),
-                    ("threads", JsonValue::Int(4)),
                     ("n", JsonValue::Int(10)),
                     ("m", JsonValue::Int(20)),
                     ("rounds", JsonValue::Int(7)),
@@ -807,8 +795,6 @@ mod tests {
     #[test]
     fn tolerance_table_classifies_columns() {
         assert_eq!(column_rule("E1", "wall ms"), Rule::Ignore);
-        assert_eq!(column_rule("SCALE", "speedup"), Rule::Ignore);
-        assert_eq!(column_rule("SCALE", "floor"), Rule::Ignore);
         assert_eq!(column_rule("E9", "colors/Δ"), Rule::AbsTol(1e-6));
         // The round-complexity contract: E1/E3 round counts are exact-match.
         assert_eq!(column_rule("E1", "ours rounds"), Rule::Exact);
@@ -821,11 +807,6 @@ mod tests {
         assert_eq!(key_columns("E3"), &["Δ", "ε"]);
         assert_eq!(key_columns("FAULT"), &["workload", "graph", "seed"]);
         assert!(key_columns("E999").is_empty());
-        // The scale array's speedup is floor-checked, never diffed.
-        assert!(SCALE_FIELDS
-            .1
-            .iter()
-            .any(|&(f, r)| f == "speedup_vs_sequential" && r == Rule::MinFresh(0.95)));
         // The flat-arena delivery columns: throughput is floor-checked,
         // delivered bytes are float-compared, allocation counts are exact.
         assert_eq!(column_rule("SCALE", "rounds/s"), Rule::Ignore);
@@ -928,43 +909,6 @@ mod tests {
                 .mismatches
                 .iter()
                 .any(|m| m.contains("io") && m.contains("coverage lost")),
-            "{:?}",
-            report.mismatches
-        );
-    }
-
-    fn scale_doc(speedup: f64) -> JsonValue {
-        JsonValue::obj(vec![
-            ("schema", JsonValue::str("edgecolor-bench/v1")),
-            ("experiments", JsonValue::Arr(vec![])),
-            (
-                "scale",
-                JsonValue::Arr(vec![JsonValue::obj(vec![
-                    ("graph", JsonValue::str("g")),
-                    ("threads", JsonValue::Int(2)),
-                    ("n", JsonValue::Int(10)),
-                    ("m", JsonValue::Int(20)),
-                    ("rounds", JsonValue::Int(7)),
-                    ("messages", JsonValue::Int(280)),
-                    ("speedup_vs_sequential", JsonValue::Num(speedup)),
-                ])]),
-            ),
-            ("fault", JsonValue::Arr(vec![])),
-        ])
-    }
-
-    #[test]
-    fn speedup_below_floor_fails_regardless_of_baseline() {
-        // Baseline recorded a bad speedup (pre-fix); only the fresh value
-        // counts against the floor.
-        let report = compare(&scale_doc(0.62), &scale_doc(0.97));
-        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
-        let report = compare(&scale_doc(1.8), &scale_doc(0.62));
-        assert!(
-            report
-                .mismatches
-                .iter()
-                .any(|m| m.contains("speedup_vs_sequential") && m.contains("below floor")),
             "{:?}",
             report.mismatches
         );

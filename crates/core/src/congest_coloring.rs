@@ -58,7 +58,7 @@ pub fn color_congest(
     ids: &IdAssignment,
     params: &ColoringParams,
 ) -> CongestColoringResult {
-    let mut net = Network::with_policy(graph, Model::congest_for(graph.n()), params.policy);
+    let mut net = Network::new(graph, Model::congest_for(graph.n()));
     let mut coloring = EdgeColoring::empty(graph.m());
     if graph.m() == 0 {
         return CongestColoringResult {

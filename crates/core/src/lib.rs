@@ -34,7 +34,7 @@
 //! ```
 //! use distgraph::generators;
 //! use distsim::IdAssignment;
-//! use edgecolor::{color_edges_local, ColoringParams, ExecutionPolicy, ParamProfile};
+//! use edgecolor::{color_edges_local, ColoringParams, ParamProfile};
 //!
 //! // A random 6-regular graph on 40 nodes.
 //! let graph = generators::random_regular(40, 6, 7).unwrap();
@@ -43,18 +43,15 @@
 //! assert!(outcome.coloring.is_complete());
 //! assert!(outcome.coloring.palette_size() <= 2 * graph.max_degree() - 1);
 //!
-//! // The same run with the practical-profile parameters spelled out and the
-//! // per-round node work executed on a 2-thread worker pool. Execution
-//! // policies never change results — colorings, metrics and mailboxes are
-//! // bit-identical to the sequential run — only wall-clock time.
+//! // The same run with the practical-profile parameters spelled out. Runs
+//! // are deterministic: colorings, metrics and ledgers are bit-identical.
 //! let params = ColoringParams {
 //!     profile: ParamProfile::Practical,
 //!     ..ColoringParams::new(0.5)
-//! }
-//! .with_policy(ExecutionPolicy::parallel(2));
-//! let parallel = color_edges_local(&graph, &ids, &params)?;
-//! assert_eq!(parallel.coloring, outcome.coloring);
-//! assert_eq!(parallel.metrics, outcome.metrics);
+//! };
+//! let again = color_edges_local(&graph, &ids, &params)?;
+//! assert_eq!(again.coloring, outcome.coloring);
+//! assert_eq!(again.metrics, outcome.metrics);
 //! # Ok::<(), edgecolor::ColoringError>(())
 //! ```
 
@@ -76,7 +73,6 @@ pub mod stabilize;
 pub mod token_dropping;
 
 pub use congest_coloring::{color_congest, CongestColoringResult};
-pub use distsim::ExecutionPolicy;
 pub use error::ColoringError;
 pub use list_coloring::{
     color_edges_local, default_palette, list_edge_coloring, ListColoringOutcome,

@@ -659,7 +659,7 @@ pub fn list_edge_coloring(
         });
     }
 
-    let mut net = Network::with_policy(graph, Model::Local, params.policy);
+    let mut net = Network::new(graph, Model::Local);
     let mut state = PartialColoring::new(graph, lists);
     let mut solver_calls = 0u64;
     let mut fallback_rounds = 0u64;
@@ -862,7 +862,7 @@ pub fn default_palette(delta: usize) -> usize {
 /// ```
 /// use distgraph::generators;
 /// use distsim::IdAssignment;
-/// use edgecolor::{color_edges_local, ColoringParams, ExecutionPolicy};
+/// use edgecolor::{color_edges_local, ColoringParams};
 ///
 /// let graph = generators::grid_torus(8, 8); // Δ = 4
 /// let ids = IdAssignment::scattered(graph.n(), 1);
@@ -870,9 +870,8 @@ pub fn default_palette(delta: usize) -> usize {
 /// assert!(outcome.coloring.is_complete());
 /// assert!(outcome.coloring.palette_size() <= 2 * graph.max_degree() - 1);
 ///
-/// // Execution policies never change the result, only how rounds execute:
-/// let parallel = ColoringParams::new(0.5).with_policy(ExecutionPolicy::parallel(2));
-/// assert_eq!(color_edges_local(&graph, &ids, &parallel)?.coloring, outcome.coloring);
+/// // Runs are deterministic: the same input gives the same coloring.
+/// assert_eq!(color_edges_local(&graph, &ids, &ColoringParams::new(0.5))?.coloring, outcome.coloring);
 /// # Ok::<(), edgecolor::ColoringError>(())
 /// ```
 pub fn color_edges_local(

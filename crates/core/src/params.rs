@@ -13,8 +13,6 @@
 //! measured empirically for the practical one (docs/PAPER_MAP.md, the
 //! Equations (4)–(7) row).
 
-use distsim::ExecutionPolicy;
-
 /// Which constant-factor regime to use for the paper's parameter formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParamProfile {
@@ -157,12 +155,6 @@ pub struct ColoringParams {
     /// Safety cap on outer iterations (the theory needs `O(log Δ)`; the cap is
     /// generous so that it never binds unless something is wrong).
     pub max_outer_iterations: u32,
-    /// How the simulator executes each round's per-node work:
-    /// [`ExecutionPolicy::Sequential`] or a worker pool
-    /// (`Parallel { threads }`). The produced colorings, metrics and
-    /// mailboxes are bit-identical under every policy; only wall-clock time
-    /// changes.
-    pub policy: ExecutionPolicy,
 }
 
 impl ColoringParams {
@@ -173,7 +165,6 @@ impl ColoringParams {
             profile: ParamProfile::Practical,
             low_degree_cutoff: 16,
             max_outer_iterations: 64,
-            policy: ExecutionPolicy::Sequential,
         }
     }
 
@@ -183,12 +174,6 @@ impl ColoringParams {
             profile: ParamProfile::Paper,
             ..Self::new(eps)
         }
-    }
-
-    /// Same parameters with a different execution policy.
-    pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The orientation parameters induced by these coloring parameters for a
@@ -322,14 +307,6 @@ mod tests {
         assert_eq!(p.profile, ParamProfile::Paper);
         assert_eq!(ColoringParams::default().profile, ParamProfile::Practical);
         assert!(c.orientation(0.25).nu > 0.0);
-    }
-
-    #[test]
-    fn execution_policy_defaults_and_propagates() {
-        let c = ColoringParams::new(0.5);
-        assert_eq!(c.policy, ExecutionPolicy::Sequential);
-        let par = c.with_policy(ExecutionPolicy::parallel(4));
-        assert_eq!(par.policy, ExecutionPolicy::parallel(4));
     }
 
     #[test]

@@ -30,10 +30,8 @@
 //! coloring remains proper and within `P`; call
 //! [`Recoloring::refresh`] to re-tighten the budget explicitly.
 //!
-//! Everything here threads [`ExecutionPolicy`](distsim::ExecutionPolicy)
-//! through unchanged: repairs are bit-identical under `Sequential` and any
-//! `Parallel{t}` policy, because the underlying machinery is (see
-//! `crates/sim/tests/parallel_determinism.rs` and `tests/differential.rs`).
+//! Repairs are deterministic: replaying the same batches gives a
+//! bit-identical coloring (`tests/differential.rs`).
 
 use crate::error::ColoringError;
 use crate::list_coloring::{color_edges_local, list_edge_coloring};

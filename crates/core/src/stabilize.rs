@@ -23,9 +23,8 @@
 //! generator matrix).
 //!
 //! Like everything else in the repair pipeline, stabilization is
-//! deterministic: the same corruption (same [`distsim::FaultPlan`]-style seed) heals
-//! to the same coloring under every
-//! [`ExecutionPolicy`](distsim::ExecutionPolicy).
+//! deterministic: the same corruption (same [`distsim::FaultPlan`]-style
+//! seed) heals to the same coloring on every replay.
 
 use crate::error::ColoringError;
 use crate::params::ColoringParams;

@@ -7,12 +7,11 @@
 //! and an FNV-1a fingerprint of the round ledger, recorded before the
 //! orientation and the list queries were made to cost their work.
 //! Any change to the chosen colors, the schedule, the message accounting or
-//! any field of any ledger entry moves at least one pinned value. Each case runs under the sequential
-//! and parallel policies, which must both reproduce the same pins.
+//! any field of any ledger entry moves at least one pinned value.
 
 use distgraph::{generators, EdgeColoring, Graph, ListAssignment};
 use distsim::{IdAssignment, RoundLedger};
-use edgecolor::{color_edges_local, list_edge_coloring, ColoringParams, ExecutionPolicy};
+use edgecolor::{color_edges_local, list_edge_coloring, ColoringParams};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -159,9 +158,9 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn run(case: &Case, policy: ExecutionPolicy) -> Pin {
+fn run(case: &Case) -> Pin {
     let ids = IdAssignment::scattered(case.graph.n(), 5);
-    let params = ColoringParams::new(0.5).with_policy(policy);
+    let params = ColoringParams::new(0.5);
     let outcome = match &case.lists {
         Some(lists) => list_edge_coloring(&case.graph, lists, &ids, &params),
         None => color_edges_local(&case.graph, &ids, &params),
@@ -179,16 +178,14 @@ fn run(case: &Case, policy: ExecutionPolicy) -> Pin {
 }
 
 #[test]
-fn theorem_1_1_colorings_are_pinned_under_every_policy() {
+fn theorem_1_1_colorings_are_pinned() {
     for case in cases() {
-        for policy in [ExecutionPolicy::Sequential, ExecutionPolicy::parallel(2)] {
-            let got = run(&case, policy);
-            assert_eq!(
-                got, case.expected,
-                "{} under {policy}: ledger {:#018x}",
-                case.name, got.ledger
-            );
-        }
+        let got = run(&case);
+        assert_eq!(
+            got, case.expected,
+            "{}: ledger {:#018x}",
+            case.name, got.ledger
+        );
     }
 }
 

@@ -48,7 +48,7 @@ use crate::error::SetupError;
 use crate::hist::LatencyHistogram;
 use crate::wire::{GraphInfo, LookupOutcome, MetricsReport, RejectCode, Request, Response};
 use distgraph::{DynamicGraph, EdgeColoring, EdgeId, Graph, NodeId, UpdateBatch};
-use distsim::{ExecutionPolicy, IdAssignment};
+use distsim::IdAssignment;
 use diststore::{LoadedSnapshot, Snapshot};
 use edgecolor::{default_palette, ColoringParams, Recoloring, SelfStabilizing};
 use std::collections::HashSet;
@@ -73,8 +73,6 @@ pub struct ServeConfig {
     pub headroom: usize,
     /// Target ε of the coloring parameters.
     pub eps: f64,
-    /// Execution policy for repair passes (the `distsim` policy knob).
-    pub policy: ExecutionPolicy,
     /// Seed of the scattered node-id assignment.
     pub id_seed: u64,
     /// Optional full-sweep period for the self-stabilization layer
@@ -93,7 +91,6 @@ impl Default for ServeConfig {
             tick_interval_ms: Some(2),
             headroom: 2,
             eps: 0.5,
-            policy: ExecutionPolicy::Sequential,
             id_seed: 1,
             full_sweep_every: None,
             max_inflight: 32,
@@ -233,7 +230,7 @@ impl Tenant {
         config: ServeConfig,
     ) -> Result<Self, SetupError> {
         let ids = Arc::new(IdAssignment::scattered(dg.n(), config.id_seed));
-        let params = ColoringParams::new(config.eps).with_policy(config.policy);
+        let params = ColoringParams::new(config.eps);
         let (rec, _) = session_for(&dg, coloring, &ids, &params, config.headroom)?;
         let mut stab = SelfStabilizing::new(rec);
         if let Some(period) = config.full_sweep_every {

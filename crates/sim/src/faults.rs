@@ -19,23 +19,21 @@
 //!
 //! # Determinism contract
 //!
-//! Same seed + same plan ⇒ **bit-identical** run, under every
-//! [`ExecutionPolicy`](crate::ExecutionPolicy). Two design rules make that
-//! hold without any cross-thread coordination:
+//! Same seed + same plan ⇒ **bit-identical** run. Two design rules make
+//! that hold:
 //!
 //! 1. every per-message decision is a pure hash of
 //!    `(seed, round, edge, sender)` — never of execution order — so the same
-//!    message gets the same fate no matter which worker delivered it;
+//!    message gets the same fate whichever delivery path carried it;
 //! 2. faults are applied to the *canonically ordered* mailboxes the delivery
-//!    paths already produce (global sender order, the bit-identity invariant
-//!    of the parallel engine), so the fault layer's input is identical
-//!    across policies by construction.
+//!    paths already produce (ascending sender order per inbox), so the
+//!    fault layer's input is the same for `exchange` and `broadcast`.
 //!
 //! Shard-link partitions sever messages between shards of a *reference
 //! partition*: a deterministic BFS-grown, edge-balanced partition of the
 //! run's graph at the plan's own granularity (every shard owns at most
-//! `⌈m/k⌉ + Δ` edges). It depends only on the graph and the plan, never on
-//! the execution policy, so every policy loses exactly the same messages.
+//! `⌈m/k⌉ + Δ` edges). It depends only on the graph and the plan, so a
+//! replay loses exactly the same messages.
 //!
 //! # Fault semantics
 //!
@@ -56,7 +54,7 @@
 //!   shards are lost while the window is open and flow again once it heals.
 //!
 //! The base [`Metrics`](crate::Metrics) keep accounting *attempted* traffic
-//! (what the algorithm sent), so metrics stay bit-identical across policies
+//! (what the algorithm sent), so metrics stay those of the fault-free run
 //! even though fewer messages arrive; the adversary's effect is reported
 //! separately in [`FaultStats`].
 
@@ -255,8 +253,8 @@ impl FaultPlan {
 
     /// Sets the granularity of the reference partition link cuts are defined
     /// against: the plan severs links of a deterministic BFS-grown,
-    /// edge-balanced partition of the run's graph into `shards` shards,
-    /// independent of the executing policy (see the [module docs](self)).
+    /// edge-balanced partition of the run's graph into `shards` shards (see
+    /// the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -476,7 +474,7 @@ impl FaultState {
     /// delivery path never builds those (it seals rounds straight into flat
     /// CSR mailboxes); when a plan is installed, delivery materializes the
     /// boxes from the identical canonical sender order first, so every
-    /// adversary decision is policy-independent by construction and the
+    /// adversary decision is independent of the delivery path and the
     /// allocation cost of this generality is only paid under faults.
     pub(crate) fn apply<M: Payload + Send>(
         &mut self,
@@ -579,7 +577,7 @@ impl FaultState {
         }
 
         // Adversarial reordering: a seeded permutation per inbox, keyed by
-        // (seed, round, target) — identical across execution policies.
+        // (seed, round, target) — identical on every replay.
         if self.plan.reorder {
             for (target, inbox) in boxes.iter_mut().enumerate() {
                 if inbox.len() < 2 {

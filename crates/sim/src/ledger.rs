@@ -16,8 +16,8 @@
 //! offending level instead of just a bad total.
 //!
 //! Recording is deterministic: entries depend only on the algorithm's input,
-//! never on the execution policy, so ledgers are bit-identical across
-//! `Sequential` and `Parallel` runs just like mailboxes and metrics.
+//! so ledgers are bit-identical across replays just like mailboxes and
+//! metrics.
 //! Equality is bitwise (see [`LedgerEntry`]), so two ledgers compare equal
 //! exactly when they are bit-identical.
 

@@ -46,12 +46,9 @@ impl Metrics {
     }
 
     /// Folds another metrics block's per-message costs (messages, bits,
-    /// size maximum, violations) into this one **without touching rounds**:
-    /// the merge the round engines apply to per-chunk workers of
-    /// a single round, whose round was already charged once by the caller.
-    /// Sums and maxima only, so the fold is order-independent — the root of
-    /// the bit-identity guarantee for metrics.
-    pub fn fold_costs(&mut self, other: &Metrics) {
+    /// size maximum, violations) into this one **without touching rounds**;
+    /// the two composition rules below differ only in how rounds combine.
+    fn fold_costs(&mut self, other: &Metrics) {
         self.messages += other.messages;
         self.total_bits += other.total_bits;
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);

@@ -11,31 +11,19 @@
 //! round counts reported in the experiments are exactly the number of
 //! `exchange`/`broadcast` calls plus explicitly charged sub-protocol rounds.
 //!
-//! # Execution policies
-//!
-//! Every network carries an [`ExecutionPolicy`]. Rounds issued through
-//! [`Network::exchange_sync`] or [`Network::broadcast`] honor it: under
-//! `Parallel { threads }` the per-node closures run on a scoped worker
-//! pool over degree-weighted contiguous node chunks and the per-chunk
-//! results and metrics are merged in chunk order, which makes the result
-//! **byte-identical** to the sequential execution at any thread count.
-//! [`Network::exchange`] takes a stateful `FnMut` closure and therefore
-//! always runs sequentially.
-//!
 //! # The flat-arena delivery path
 //!
-//! Delivery is allocation-free in steady state. Each worker appends packed
-//! `(target, Incoming { from, edge, msg })` rows to a reusable arena buffer
-//! owned by the network (pooled per message type); the sealed round counts
-//! rows per target, prefix-sums the counts into CSR offsets, and permutes
-//! the concatenated rows in place into target-major order — yielding the
+//! Delivery is allocation-free in steady state. The send phase appends
+//! packed `(target, Incoming { from, edge, msg })` rows to a reusable arena
+//! buffer owned by the network (one per message type); the sealed round
+//! counts rows per target, prefix-sums the counts into CSR offsets, and
+//! permutes the rows in place into target-major order — yielding the
 //! structure-of-arrays [`Mailboxes`] without ever materializing per-node
-//! `Vec`s. Because workers are visited in chunk order and the permutation
-//! is stable per target, every inbox reads in global sender order, exactly
-//! what the sequential reference loop produces. When a fault plan is
-//! installed the round falls back to materialized per-node boxes (the
-//! adversary mutates inboxes in place), so fault-free hot paths never pay
-//! for that generality.
+//! `Vec`s. Senders are visited in node order and the permutation is stable
+//! per target, so every inbox reads in ascending sender order. When a fault
+//! plan is installed the round falls back to materialized per-node boxes
+//! (the adversary mutates inboxes in place), so fault-free hot paths never
+//! pay for that generality.
 //!
 //! # The pull-based broadcast
 //!
@@ -46,7 +34,6 @@
 //! the mailbox offsets are the graph's CSR offsets, with no count or
 //! permute stage.
 
-use crate::executor::{map_chunks, map_chunks_with, Chunks, ExecutionPolicy};
 use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::ledger::{LedgerEntry, RoundLedger};
 use crate::metrics::Metrics;
@@ -134,16 +121,15 @@ impl<M> Mailboxes<M> {
 
 /// The reusable per-round delivery scratch owned by a [`Network`].
 ///
-/// `exchange*`/`broadcast` are generic over the message type but the network
-/// is not, so the per-worker arena buffers are stored type-erased, keyed by
-/// the message's `TypeId` (the same pattern the fault layer uses for its
-/// delay queues). The untyped count/slot buffers are shared across all
-/// message types. Everything here is capacity that
-/// survives between rounds; none of it affects delivery semantics.
+/// `exchange`/`broadcast` are generic over the message type but the network
+/// is not, so the arena buffers are stored type-erased, keyed by the
+/// message's `TypeId` (the same pattern the fault layer uses for its delay
+/// queues). The untyped count/slot buffers are shared across all message
+/// types. Everything here is capacity that survives between rounds; none of
+/// it affects delivery semantics.
 #[derive(Default)]
 struct RoundScratch {
-    /// Per message type: the per-worker arena row buffers
-    /// (`Vec<Vec<Targeted<M>>>`).
+    /// Per message type: the arena row buffer (`Vec<Targeted<M>>`).
     arenas: HashMap<TypeId, Box<dyn Any + Send>>,
     /// Per-node message counts, reused as delivery cursors.
     counts: Vec<usize>,
@@ -152,25 +138,21 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
-    /// Takes (or creates) the per-worker arena buffers for message type `M`,
-    /// cleared and sized to `workers` buffers with capacity retained.
-    fn take_arena<M: Payload + Send>(&mut self, workers: usize) -> Vec<Vec<Targeted<M>>> {
-        let mut arena: Vec<Vec<Targeted<M>>> = self
+    /// Takes (or creates) the empty arena buffer for message type `M`, with
+    /// its capacity retained.
+    fn take_arena<M: Payload + Send>(&mut self) -> Vec<Targeted<M>> {
+        let mut arena: Vec<Targeted<M>> = self
             .arenas
             .remove(&TypeId::of::<M>())
-            .and_then(|boxed| boxed.downcast::<Vec<Vec<Targeted<M>>>>().ok())
+            .and_then(|boxed| boxed.downcast::<Vec<Targeted<M>>>().ok())
             .map(|boxed| *boxed)
             .unwrap_or_default();
-        arena.truncate(workers);
-        for buffer in &mut arena {
-            buffer.clear();
-        }
-        arena.resize_with(workers, Vec::new);
+        arena.clear();
         arena
     }
 
-    /// Returns drained arena buffers to the pool for the next round.
-    fn put_arena<M: Payload + Send>(&mut self, arena: Vec<Vec<Targeted<M>>>) {
+    /// Returns a drained arena buffer to the pool for the next round.
+    fn put_arena<M: Payload + Send>(&mut self, arena: Vec<Targeted<M>>) {
         self.arenas.insert(TypeId::of::<M>(), Box::new(arena));
     }
 }
@@ -185,55 +167,11 @@ impl std::fmt::Debug for RoundScratch {
     }
 }
 
-/// A worker's view of the send phase: validates each send, accounts metrics,
-/// and appends the packed `(target, Incoming)` row to the worker's arena
-/// buffer.
-struct SendSink<'a, M> {
-    graph: &'a Graph,
-    limit: Option<u64>,
-    rows: &'a mut Vec<Targeted<M>>,
-    /// Edges the current node already sent over (cleared per node).
-    used: Vec<EdgeId>,
-    metrics: Metrics,
-}
-
-impl<M: Payload> SendSink<'_, M> {
-    /// Resets the per-node duplicate-edge guard.
-    #[inline]
-    fn begin_node(&mut self) {
-        self.used.clear();
-    }
-
-    /// Validates and enqueues one send from `from` over `edge`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is not incident to `from` or was already used by
-    /// `from` this round (the [`Network::exchange`] contract).
-    #[inline]
-    fn send(&mut self, from: NodeId, edge: EdgeId, msg: M) {
-        assert!(
-            self.graph.is_endpoint(edge, from),
-            "{from} attempted to send over non-incident edge {edge}"
-        );
-        assert!(
-            !self.used.contains(&edge),
-            "{from} sent two messages over {edge} in a single round"
-        );
-        self.used.push(edge);
-        self.metrics
-            .record_message(msg.encoded_bits() as u64, self.limit);
-        let target = self.graph.other_endpoint(edge, from).index();
-        self.rows.push((target, Incoming { from, edge, msg }));
-    }
-}
-
 /// A synchronous-round communication network over a graph.
 #[derive(Debug)]
 pub struct Network<'g> {
     graph: &'g Graph,
     model: Model,
-    policy: ExecutionPolicy,
     metrics: Metrics,
     faults: Option<FaultState>,
     ledger: RoundLedger,
@@ -241,19 +179,11 @@ pub struct Network<'g> {
 }
 
 impl<'g> Network<'g> {
-    /// Creates a network over `graph` under the given model, executing rounds
-    /// sequentially.
+    /// Creates a network over `graph` under the given model.
     pub fn new(graph: &'g Graph, model: Model) -> Self {
-        Self::with_policy(graph, model, ExecutionPolicy::Sequential)
-    }
-
-    /// Creates a network over `graph` under the given model and execution
-    /// policy.
-    pub fn with_policy(graph: &'g Graph, model: Model, policy: ExecutionPolicy) -> Self {
         Network {
             graph,
             model,
-            policy,
             metrics: Metrics::new(),
             faults: None,
             ledger: RoundLedger::new(),
@@ -261,8 +191,8 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// A fresh network over `child_graph` inheriting this network's model and
-    /// execution policy. Used by composed algorithms that recurse on
+    /// A fresh network over `child_graph` inheriting this network's model.
+    /// Used by composed algorithms that recurse on
     /// subgraphs; absorb the child's metrics afterwards with
     /// [`Network::absorb_sequential`] or [`Network::absorb_parallel`].
     ///
@@ -270,7 +200,7 @@ impl<'g> Network<'g> {
     /// defined against one graph's edges and rounds, and child networks run
     /// on subgraphs with their own edge ids.
     pub fn child<'h>(&self, child_graph: &'h Graph) -> Network<'h> {
-        Network::with_policy(child_graph, self.model, self.policy)
+        Network::new(child_graph, self.model)
     }
 
     /// Installs a fault plan: every subsequent round is filtered through the
@@ -294,8 +224,8 @@ impl<'g> Network<'g> {
 
     /// Filters freshly delivered mailboxes through the installed fault
     /// plan (no-op without one). Called by every delivery path *after* the
-    /// canonical sender-order merge, so the adversary sees identical input
-    /// under every execution policy.
+    /// inboxes are in canonical sender order, so the adversary sees
+    /// identical input whichever path built them.
     fn apply_faults<M: Payload + Send>(&mut self, boxes: &mut [Vec<Incoming<M>>]) {
         if let Some(state) = &mut self.faults {
             state.apply(self.graph, self.metrics.rounds, boxes);
@@ -313,16 +243,6 @@ impl<'g> Network<'g> {
         self.model
     }
 
-    /// The execution policy rounds are run under.
-    pub fn policy(&self) -> ExecutionPolicy {
-        self.policy
-    }
-
-    /// Replaces the execution policy (subsequent rounds use it).
-    pub fn set_policy(&mut self, policy: ExecutionPolicy) {
-        self.policy = policy;
-    }
-
     /// Number of rounds charged so far.
     pub fn rounds(&self) -> u64 {
         self.metrics.rounds
@@ -333,12 +253,9 @@ impl<'g> Network<'g> {
         self.metrics
     }
 
-    /// Executes one synchronous round with a *stateful* send closure: for
-    /// every node, `outgoing` returns the list of `(edge, message)` pairs the
-    /// node sends; each message is delivered to the other endpoint of the
-    /// edge. Because `outgoing` may mutate shared state between nodes, this
-    /// entry point always runs sequentially regardless of the policy; use
-    /// [`Network::exchange_sync`] for policy-aware execution.
+    /// Executes one synchronous round: for every node in index order,
+    /// `outgoing` returns the list of `(edge, message)` pairs the node sends;
+    /// each message is delivered to the other endpoint of the edge.
     ///
     /// # Panics
     ///
@@ -349,104 +266,48 @@ impl<'g> Network<'g> {
         mut outgoing: impl FnMut(NodeId) -> Vec<(EdgeId, M)>,
     ) -> Mailboxes<M> {
         self.metrics.rounds += 1;
-        let limit = self.model.bandwidth_limit();
-        let mut arena = self.scratch.take_arena::<M>(1);
-        let mut rows = arena.pop().expect("one arena buffer");
-        let metrics = {
-            let mut sink = SendSink {
-                graph: self.graph,
-                limit,
-                rows: &mut rows,
-                used: Vec::new(),
-                metrics: Metrics::new(),
-            };
-            for v in self.graph.nodes() {
-                sink.begin_node();
-                for (edge, msg) in outgoing(v) {
-                    sink.send(v, edge, msg);
-                }
-            }
-            sink.metrics
-        };
-        self.metrics.fold_costs(&metrics);
-        arena.push(rows);
-        self.seal(arena)
-    }
-
-    /// Executes one synchronous round with a *pure* per-node send function,
-    /// honoring the network's [`ExecutionPolicy`]: under a parallel policy
-    /// the closure is evaluated on a worker pool over contiguous node chunks
-    /// and the mailboxes/metrics are merged deterministically, producing
-    /// results byte-identical to the sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Network::exchange`].
-    pub fn exchange_sync<M>(
-        &mut self,
-        outgoing: impl Fn(NodeId) -> Vec<(EdgeId, M)> + Sync,
-    ) -> Mailboxes<M>
-    where
-        M: Payload + Send,
-    {
-        // Sender chunks are degree-weighted (a pure function of the graph
-        // and the policy's thread count, never of the workers actually
-        // spawned), so a power-law hub does not serialize the round on one
-        // worker while the result stays bit-identical to the sequential
-        // pass. On hosts where spawning does not pay off the same chunk
-        // geometry runs inline on the calling thread.
-        self.metrics.rounds += 1;
-        let limit = self.model.bandwidth_limit();
         let graph = self.graph;
-        let chunks = Chunks::degree_weighted(graph.n(), graph.csr_offsets(), self.policy.threads());
-        let mut arena = self.scratch.take_arena::<M>(chunks.count());
-        // Phase A (parallel over sender chunks): evaluate the send closures,
-        // validate, account metrics, and append packed rows to the worker's
-        // arena buffer in sender order.
-        let buffers: Vec<&mut Vec<Targeted<M>>> = arena.iter_mut().collect();
-        let per_chunk = map_chunks_with(&chunks, self.policy, buffers, |range, rows| {
-            let mut sink = SendSink {
-                graph,
-                limit,
-                rows,
-                used: Vec::new(),
-                metrics: Metrics::new(),
-            };
-            for raw_v in range {
-                let v = NodeId::new(raw_v);
-                sink.begin_node();
-                for (edge, msg) in outgoing(v) {
-                    sink.send(v, edge, msg);
-                }
+        let limit = self.model.bandwidth_limit();
+        let mut rows = self.scratch.take_arena::<M>();
+        // Edges the current sender already used this round.
+        let mut used: Vec<EdgeId> = Vec::new();
+        for from in graph.nodes() {
+            used.clear();
+            for (edge, msg) in outgoing(from) {
+                assert!(
+                    graph.is_endpoint(edge, from),
+                    "{from} attempted to send over non-incident edge {edge}"
+                );
+                assert!(
+                    !used.contains(&edge),
+                    "{from} sent two messages over {edge} in a single round"
+                );
+                used.push(edge);
+                self.metrics
+                    .record_message(msg.encoded_bits() as u64, limit);
+                let target = graph.other_endpoint(edge, from).index();
+                rows.push((target, Incoming { from, edge, msg }));
             }
-            sink.metrics
-        });
-        // Merge metrics in chunk order (order-independent, see
-        // `Metrics::fold_costs`; the round itself was charged above).
-        for metrics in &per_chunk {
-            self.metrics.fold_costs(metrics);
         }
-        self.seal(arena)
+        self.seal(rows)
     }
 
-    /// Phase B of a chunked round: turns per-worker arena rows (in chunk
-    /// order, i.e. concatenated in global sender order) into the CSR
-    /// [`Mailboxes`] by counting rows per target, prefix-summing the offsets
-    /// and applying the row→slot permutation in place. Steady-state cost:
-    /// two allocations (the offsets and entries that escape in the
-    /// `Mailboxes`), everything else reuses network-owned scratch.
-    fn seal<M: Payload + Send>(&mut self, mut arena: Vec<Vec<Targeted<M>>>) -> Mailboxes<M> {
+    /// The delivery phase of a round: turns the arena rows (in sender
+    /// order) into the CSR [`Mailboxes`] by counting rows per target,
+    /// prefix-summing the offsets and applying the row→slot permutation in
+    /// place. Steady-state cost: two allocations (the offsets and entries
+    /// that escape in the `Mailboxes`), everything else reuses
+    /// network-owned scratch.
+    fn seal<M: Payload + Send>(&mut self, mut rows: Vec<Targeted<M>>) -> Mailboxes<M> {
         let n = self.graph.n();
-        let total: usize = arena.iter().map(Vec::len).sum();
+        let total = rows.len();
         let mut offsets = Vec::with_capacity(n + 1);
         {
             let counts = &mut self.scratch.counts;
             counts.clear();
             counts.resize(n, 0);
-            for rows in &arena {
-                for &(target, _) in rows.iter() {
-                    counts[target] += 1;
-                }
+            for &(target, _) in &rows {
+                counts[target] += 1;
             }
             let mut acc = 0usize;
             offsets.push(0);
@@ -457,20 +318,18 @@ impl<'g> Network<'g> {
         }
         if self.faults.is_some() {
             // Slow path: the adversary mutates per-node inboxes in place, so
-            // materialize them (it sees the same canonical sender order the
-            // fast path produces, keeping faulty runs policy-identical).
+            // materialize them (in the same canonical sender order the fast
+            // path produces).
             let mut boxes: Vec<Vec<Incoming<M>>> = self
                 .scratch
                 .counts
                 .iter()
                 .map(|&count| Vec::with_capacity(count))
                 .collect();
-            for rows in &mut arena {
-                for (target, incoming) in rows.drain(..) {
-                    boxes[target].push(incoming);
-                }
+            for (target, incoming) in rows.drain(..) {
+                boxes[target].push(incoming);
             }
-            self.scratch.put_arena(arena);
+            self.scratch.put_arena(rows);
             self.apply_faults(&mut boxes);
             return Mailboxes::from_boxes(boxes);
         }
@@ -483,12 +342,10 @@ impl<'g> Network<'g> {
             }
             slots.clear();
             slots.reserve(total);
-            for rows in &mut arena {
-                for (target, incoming) in rows.drain(..) {
-                    slots.push(counts[target]);
-                    counts[target] += 1;
-                    entries.push(incoming);
-                }
+            for (target, incoming) in rows.drain(..) {
+                slots.push(counts[target]);
+                counts[target] += 1;
+                entries.push(incoming);
             }
             // Apply the permutation in place (cycle chasing): row `i` moves
             // to CSR slot `slots[i]`. Per-target slots increase with the row
@@ -501,54 +358,41 @@ impl<'g> Network<'g> {
                 }
             }
         }
-        self.scratch.put_arena(arena);
+        self.scratch.put_arena(rows);
         Mailboxes { offsets, entries }
     }
 
     /// One round in which every node sends the same message to all neighbors.
-    /// Honors the network's execution policy (see [`Network::exchange_sync`]).
     ///
     /// The round is a pull-based gather: `msg_of` is evaluated once per node
-    /// (over the policy's degree-weighted chunks), and node `v`'s inbox is its
-    /// adjacency slice read in order, one clone of each neighbor's message
-    /// per entry. The
-    /// graph's adjacency slices are sorted by neighbor id and a simple graph
-    /// has one edge per neighbor, so that slice order is ascending sender
-    /// order — exactly the order the push-based [`Network::exchange_sync`]
-    /// round delivers — and the mailbox offsets are the graph's own CSR
-    /// offsets. Metrics record `deg(v)` messages of
-    /// `msg_of(v).encoded_bits()` bits for every node `v`, as the equivalent
-    /// push round does. With a fault plan installed the gathered inboxes
-    /// pass through the same adversary.
-    pub fn broadcast<M>(&mut self, msg_of: impl Fn(NodeId) -> M + Sync) -> Mailboxes<M>
+    /// in index order, and node `v`'s inbox is its adjacency slice read in
+    /// order, one clone of each neighbor's message per entry. The graph's
+    /// adjacency slices are sorted by neighbor id and a simple graph has one
+    /// edge per neighbor, so that slice order is ascending sender order —
+    /// exactly the order the push-based [`Network::exchange`] round delivers
+    /// — and the mailbox offsets are the graph's own CSR offsets. Metrics
+    /// record `deg(v)` messages of `msg_of(v).encoded_bits()` bits for every
+    /// node `v`, as the equivalent push round does. With a fault plan
+    /// installed the gathered inboxes pass through the same adversary.
+    pub fn broadcast<M>(&mut self, mut msg_of: impl FnMut(NodeId) -> M) -> Mailboxes<M>
     where
         M: Payload + Send,
     {
         let graph = self.graph;
         self.metrics.rounds += 1;
         let limit = self.model.bandwidth_limit();
-        let chunks = Chunks::degree_weighted(graph.n(), graph.csr_offsets(), self.policy.threads());
-        let per_chunk = map_chunks(&chunks, self.policy, |range| {
-            let mut metrics = Metrics::new();
-            let msgs: Vec<M> = range
-                .map(|raw_v| {
-                    let v = NodeId::new(raw_v);
-                    let msg = msg_of(v);
-                    metrics.record_messages(
-                        graph.degree(v) as u64,
-                        msg.encoded_bits() as u64,
-                        limit,
-                    );
-                    msg
-                })
-                .collect();
-            (msgs, metrics)
-        });
-        let mut msgs: Vec<M> = Vec::with_capacity(graph.n());
-        for (mut chunk_msgs, metrics) in per_chunk {
-            self.metrics.fold_costs(&metrics);
-            msgs.append(&mut chunk_msgs);
-        }
+        let msgs: Vec<M> = graph
+            .nodes()
+            .map(|v| {
+                let msg = msg_of(v);
+                self.metrics.record_messages(
+                    graph.degree(v) as u64,
+                    msg.encoded_bits() as u64,
+                    limit,
+                );
+                msg
+            })
+            .collect();
         let offsets = graph.csr_offsets().to_vec();
         let mut entries: Vec<Incoming<M>> = Vec::with_capacity(offsets[graph.n()]);
         for v in graph.nodes() {
@@ -699,20 +543,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-incident")]
-    fn parallel_sending_over_foreign_edge_panics() {
-        let g = generators::path(4);
-        let mut net = Network::with_policy(&g, Model::Local, ExecutionPolicy::parallel(3));
-        net.exchange_sync(|v| {
-            if v.index() == 0 {
-                vec![(EdgeId::new(2), 1u32)]
-            } else {
-                vec![]
-            }
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "two messages")]
     fn sending_twice_over_same_edge_panics() {
         let g = generators::path(2);
@@ -727,71 +557,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two messages")]
-    fn parallel_sending_twice_over_same_edge_panics() {
-        let g = generators::path(2);
-        let mut net = Network::with_policy(&g, Model::Local, ExecutionPolicy::parallel(2));
-        net.exchange_sync(|v| {
-            if v.index() == 0 {
-                vec![(EdgeId::new(0), 1u32), (EdgeId::new(0), 2u32)]
-            } else {
-                vec![]
-            }
-        });
-    }
-
-    #[test]
-    fn parallel_exchange_is_bit_identical_to_sequential() {
-        let g = generators::random_regular(48, 6, 11).unwrap();
-        let send = |v: NodeId| -> Vec<(EdgeId, u64)> {
-            g.neighbors(v)
-                .iter()
-                .filter(|nb| !(v.index() + nb.node.index()).is_multiple_of(3))
-                .map(|nb| (nb.edge, (v.index() * 31 + nb.edge.index()) as u64))
-                .collect()
-        };
-        let mut seq_net = Network::new(&g, Model::Congest { bandwidth_bits: 8 });
-        let seq_mail = seq_net.exchange_sync(send);
-        for threads in [2usize, 3, 8, 64] {
-            let mut par_net = Network::with_policy(
-                &g,
-                Model::Congest { bandwidth_bits: 8 },
-                ExecutionPolicy::parallel(threads),
-            );
-            let par_mail = par_net.exchange_sync(send);
-            assert_eq!(seq_mail, par_mail, "mailboxes differ at {threads} threads");
-            assert_eq!(
-                seq_net.metrics(),
-                par_net.metrics(),
-                "metrics differ at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn child_network_inherits_model_and_policy() {
+    fn child_network_inherits_model() {
         let g = generators::path(4);
         let sub = generators::path(3);
-        let net = Network::with_policy(
-            &g,
-            Model::Congest { bandwidth_bits: 9 },
-            ExecutionPolicy::parallel(4),
-        );
+        let mut net = Network::new(&g, Model::Congest { bandwidth_bits: 9 });
+        net.charge_rounds(2);
         let child = net.child(&sub);
         assert_eq!(child.model(), net.model());
-        assert_eq!(child.policy(), net.policy());
         assert_eq!(child.rounds(), 0);
-    }
-
-    #[test]
-    fn set_policy_switches_execution() {
-        let g = generators::cycle(6);
-        let mut net = Network::new(&g, Model::Local);
-        assert_eq!(net.policy(), ExecutionPolicy::Sequential);
-        net.set_policy(ExecutionPolicy::parallel(2));
-        assert!(net.policy().is_parallel());
-        let mail = net.broadcast(|v| v.index() as u32);
-        assert_eq!(mail.total(), 2 * g.m());
     }
 
     #[test]

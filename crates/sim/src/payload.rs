@@ -13,7 +13,7 @@ use std::fmt::Debug;
 /// Payloads are `'static` owned data: the fault-injection layer
 /// ([`crate::FaultPlan`]) may hold a message back for several rounds, so a
 /// message cannot borrow from the round that produced it. (`'static` is
-/// also what lets the delivery path pool its per-worker arena buffers by
+/// also what lets the delivery path pool its arena buffers by
 /// `TypeId` — see the flat-arena notes on [`crate::Network`]'s module.)
 ///
 /// `encoded_bits` sits on the per-message hot path of every round; keep

@@ -14,7 +14,7 @@ use distsim::{IdAssignment, Network};
 /// Flooding tolerates lost messages (the output is whatever maximum made it
 /// through), so every lost, delayed or duplicated message shows up in the
 /// outputs, and staggered budgets exercise silent and halted nodes across
-/// chunk boundaries.
+/// the whole node range.
 pub fn flood(
     net: &mut Network<'_>,
     ids: &IdAssignment,
@@ -27,7 +27,7 @@ pub fn flood(
     let mut sending = vec![true; g.n()];
     let mut outputs = vec![None; g.n()];
     while net.rounds() < horizon && outputs.iter().any(Option::is_none) {
-        let mail = net.exchange_sync(|v| {
+        let mail = net.exchange(|v| {
             if !sending[v.index()] {
                 return Vec::new();
             }

@@ -1,29 +1,17 @@
 //! The determinism-under-faults battery.
 //!
 //! The contract of `distsim::faults`: same seed + same [`FaultPlan`] ⇒
-//! **bit-identical** mailboxes, outputs, metrics and fault stats under every
-//! execution policy — `Sequential`, `Parallel{2,8}`.
-//! This suite pins that contract from raw `Network` exchanges up to full
-//! multi-round flood runs, plus the individual adversary semantics
+//! **bit-identical** mailboxes, outputs, metrics and fault stats on every
+//! replay. This suite pins that contract from raw `Network` exchanges up to
+//! full multi-round flood runs, plus the individual adversary semantics
 //! (drops, duplicates, delays, crash/restart windows, link partitions that
 //! heal, and reordering).
 
 use distgraph::{generators, EdgeId, Graph, NodeId};
-use distsim::{
-    ExecutionPolicy, FaultPlan, FaultRates, FaultStats, IdAssignment, Metrics, Model, Network,
-};
+use distsim::{FaultPlan, FaultRates, FaultStats, IdAssignment, Metrics, Model, Network};
 use proptest::prelude::*;
 
 mod common;
-
-/// The policies every faulty run must agree across.
-fn policy_matrix() -> Vec<ExecutionPolicy> {
-    vec![
-        ExecutionPolicy::Sequential,
-        ExecutionPolicy::parallel(2),
-        ExecutionPolicy::parallel(8),
-    ]
-}
 
 /// Everything a flood run exposes: outputs, metrics and fault stats.
 #[derive(Debug, PartialEq)]
@@ -38,12 +26,11 @@ struct FloodRun {
 fn flood_under(
     g: &Graph,
     ids: &IdAssignment,
-    policy: ExecutionPolicy,
     plan: Option<&FaultPlan>,
     rounds: u32,
     horizon: u64,
 ) -> FloodRun {
-    let mut net = Network::with_policy(g, Model::Local, policy);
+    let mut net = Network::new(g, Model::Local);
     if let Some(plan) = plan {
         net.install_faults(plan.clone());
     }
@@ -55,8 +42,8 @@ fn flood_under(
     }
 }
 
-fn flood_run(g: &Graph, ids: &IdAssignment, policy: ExecutionPolicy, plan: &FaultPlan) -> FloodRun {
-    flood_under(g, ids, policy, Some(plan), 8, 24)
+fn flood_run(g: &Graph, ids: &IdAssignment, plan: &FaultPlan) -> FloodRun {
+    flood_under(g, ids, Some(plan), 8, 24)
 }
 
 /// A mid-size adversary exercising every fault class at once.
@@ -79,11 +66,11 @@ fn full_plan(seed: u64, g: &Graph) -> FaultPlan {
 }
 
 #[test]
-fn faulty_program_runs_are_bit_identical_across_policies() {
+fn faulty_program_runs_replay_bit_identically() {
     let g = generators::random_regular(96, 6, 5).unwrap();
     let ids = IdAssignment::scattered(96, 3);
     let plan = full_plan(17, &g);
-    let reference = flood_run(&g, &ids, ExecutionPolicy::Sequential, &plan);
+    let reference = flood_run(&g, &ids, &plan);
     let stats = reference.faults.expect("faulty run carries stats");
     // The adversary genuinely acted.
     assert!(stats.dropped > 0, "{stats:?}");
@@ -91,16 +78,20 @@ fn faulty_program_runs_are_bit_identical_across_policies() {
     assert!(stats.delayed > 0 && stats.released > 0, "{stats:?}");
     assert!(stats.crash_dropped > 0, "{stats:?}");
     assert!(stats.partition_dropped > 0, "{stats:?}");
-    for policy in policy_matrix() {
-        let run = flood_run(&g, &ids, policy, &plan);
-        assert_eq!(run.outputs, reference.outputs, "outputs differ at {policy}");
-        assert_eq!(run.metrics, reference.metrics, "metrics differ at {policy}");
-        assert_eq!(run.faults, reference.faults, "stats differ at {policy}");
-    }
+    let replay = flood_run(&g, &ids, &plan);
+    assert_eq!(
+        replay.outputs, reference.outputs,
+        "outputs differ on replay"
+    );
+    assert_eq!(
+        replay.metrics, reference.metrics,
+        "metrics differ on replay"
+    );
+    assert_eq!(replay.faults, reference.faults, "stats differ on replay");
 }
 
 #[test]
-fn faulty_network_exchanges_are_bit_identical_across_policies() {
+fn faulty_network_exchanges_replay_bit_identically() {
     let g = generators::random_regular(64, 6, 11).unwrap();
     let plan = full_plan(29, &g);
     let send = |v: NodeId| -> Vec<(EdgeId, u64)> {
@@ -112,30 +103,24 @@ fn faulty_network_exchanges_are_bit_identical_across_policies() {
     let mut reference_net = Network::new(&g, Model::Local);
     reference_net.install_faults(plan.clone());
     // Several rounds so the delay queue spans rounds.
-    let reference: Vec<_> = (0..6).map(|_| reference_net.exchange_sync(send)).collect();
+    let reference: Vec<_> = (0..6).map(|_| reference_net.exchange(send)).collect();
     assert!(reference_net.fault_stats().unwrap().delayed > 0);
-    for policy in policy_matrix() {
-        let mut net = Network::with_policy(&g, Model::Local, policy);
-        net.install_faults(plan.clone());
-        for (round, expected) in reference.iter().enumerate() {
-            let mail = net.exchange_sync(send);
-            assert_eq!(&mail, expected, "round {round} differs at {policy}");
-        }
-        assert_eq!(net.metrics(), reference_net.metrics(), "at {policy}");
-        assert_eq!(
-            net.fault_stats(),
-            reference_net.fault_stats(),
-            "at {policy}"
-        );
+    let mut net = Network::new(&g, Model::Local);
+    net.install_faults(plan.clone());
+    for (round, expected) in reference.iter().enumerate() {
+        let mail = net.exchange(send);
+        assert_eq!(&mail, expected, "round {round} differs on replay");
     }
+    assert_eq!(net.metrics(), reference_net.metrics());
+    assert_eq!(net.fault_stats(), reference_net.fault_stats());
 }
 
 #[test]
-fn faulty_broadcasts_equal_the_equivalent_exchange_sync_rounds() {
+fn faulty_broadcasts_equal_the_equivalent_exchange_rounds() {
     // The pull-based broadcast hands the adversary the same canonical
     // inboxes the push-based exchange does, so a faulty broadcast round
-    // equals the equivalent exchange_sync round under every policy:
-    // mailboxes, metrics and fault stats.
+    // equals the equivalent exchange round: mailboxes, metrics and fault
+    // stats.
     let g = generators::random_regular(64, 6, 11).unwrap();
     let plan = full_plan(29, &g);
     let msg_of = |v: NodeId| (v.index() * 31) as u64;
@@ -143,7 +128,7 @@ fn faulty_broadcasts_equal_the_equivalent_exchange_sync_rounds() {
     reference_net.install_faults(plan.clone());
     let reference: Vec<_> = (0..6)
         .map(|_| {
-            reference_net.exchange_sync(|v| {
+            reference_net.exchange(|v| {
                 g.neighbors(v)
                     .iter()
                     .map(|nb| (nb.edge, msg_of(v)))
@@ -153,20 +138,14 @@ fn faulty_broadcasts_equal_the_equivalent_exchange_sync_rounds() {
         .collect();
     let stats = reference_net.fault_stats().unwrap();
     assert!(stats.dropped > 0 && stats.delayed > 0, "{stats:?}");
-    for policy in policy_matrix() {
-        let mut net = Network::with_policy(&g, Model::Local, policy);
-        net.install_faults(plan.clone());
-        for (round, expected) in reference.iter().enumerate() {
-            let mail = net.broadcast(msg_of);
-            assert_eq!(&mail, expected, "round {round} differs at {policy}");
-        }
-        assert_eq!(net.metrics(), reference_net.metrics(), "at {policy}");
-        assert_eq!(
-            net.fault_stats(),
-            reference_net.fault_stats(),
-            "at {policy}"
-        );
+    let mut net = Network::new(&g, Model::Local);
+    net.install_faults(plan.clone());
+    for (round, expected) in reference.iter().enumerate() {
+        let mail = net.broadcast(msg_of);
+        assert_eq!(&mail, expected, "round {round} differs");
     }
+    assert_eq!(net.metrics(), reference_net.metrics());
+    assert_eq!(net.fault_stats(), reference_net.fault_stats());
 }
 
 #[test]
@@ -278,7 +257,7 @@ fn crash_windows_suppress_and_restart_restores() {
     let ids = IdAssignment::contiguous(3);
     // Node 1 (the middle) is down for rounds 1..3, restarts at round 3.
     let plan = FaultPlan::new(2).with_crash(NodeId::new(1), 1, 3);
-    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 6, 16);
+    let run = flood_under(&g, &ids, Some(&plan), 6, 16);
     // Everyone still halts (the window closed before the horizon) and the
     // global max eventually floods through the restarted node.
     assert_eq!(run.outputs, vec![Some(3), Some(3), Some(3)]);
@@ -291,7 +270,7 @@ fn permanent_crash_leaves_node_unhalted() {
     let g = generators::path(3);
     let ids = IdAssignment::contiguous(3);
     let plan = FaultPlan::new(2).with_crash(NodeId::new(0), 1, u64::MAX);
-    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 4, 10);
+    let run = flood_under(&g, &ids, Some(&plan), 4, 10);
     assert!(run.outputs[0].is_none(), "crashed node never halts");
     assert!(run.outputs[1].is_some() && run.outputs[2].is_some());
 }
@@ -326,8 +305,8 @@ fn async_scheduler_reorders_inboxes_as_a_permutation() {
     let ids = IdAssignment::contiguous(7);
     // Fault-free plan with reordering: the adversary only reorders.
     let plan = FaultPlan::new(123).with_reordering();
-    let run = flood_under(&g, &ids, ExecutionPolicy::Sequential, Some(&plan), 3, 8);
-    let clean = flood_under(&g, &ids, ExecutionPolicy::Sequential, None, 3, 8);
+    let run = flood_under(&g, &ids, Some(&plan), 3, 8);
+    let clean = flood_under(&g, &ids, None, 3, 8);
     // Flooding is order-oblivious, so outputs and metrics are untouched by
     // pure reordering — and the center's 6-message inbox was permuted.
     assert_eq!(run.outputs, clean.outputs);
@@ -382,10 +361,10 @@ fn per_edge_overrides_sever_one_edge_only() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full contract under a randomized adversary: any plan, any graph,
-    /// every policy — bit-identical outputs, metrics and fault stats.
+    /// The full contract under a randomized adversary: any plan, any graph —
+    /// a twin run replays bit-identical outputs, metrics and fault stats.
     #[test]
-    fn random_plans_are_policy_invariant(
+    fn random_plans_replay_bit_identically(
         (n, deg, seed, drop, dup, delay) in (
             12usize..48,
             2usize..5,
@@ -410,16 +389,10 @@ proptest! {
         if seed % 3 == 0 {
             plan = plan.with_reordering();
         }
-        let reference = flood_run(&g, &ids, ExecutionPolicy::Sequential, &plan);
-        for policy in policy_matrix() {
-            let run = flood_run(&g, &ids, policy, &plan);
-            prop_assert!(run.outputs == reference.outputs, "outputs differ at {policy}");
-            prop_assert!(run.metrics == reference.metrics, "metrics differ at {policy}");
-            prop_assert!(run.faults == reference.faults, "stats differ at {policy}");
-        }
-        // And the run itself replays bit-identically.
-        let replay = flood_run(&g, &ids, ExecutionPolicy::Sequential, &plan);
+        let reference = flood_run(&g, &ids, &plan);
+        let replay = flood_run(&g, &ids, &plan);
         prop_assert_eq!(replay.outputs, reference.outputs);
+        prop_assert_eq!(replay.metrics, reference.metrics);
         prop_assert_eq!(replay.faults, reference.faults);
     }
 }

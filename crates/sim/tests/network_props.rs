@@ -1,9 +1,10 @@
 //! Property-based tests for the round simulator's accounting: message
-//! conservation, round charging, and the CONGEST bandwidth cap driven by
-//! `Payload` size accounting.
+//! conservation, round charging, the CONGEST bandwidth cap driven by
+//! `Payload` size accounting, and the equivalence of the pull-based
+//! `broadcast` with the push-based `exchange` round.
 
 use distgraph::{Graph, NodeId};
-use distsim::{bits_for, Model, Network, Payload};
+use distsim::{bits_for, IdAssignment, Model, Network, Payload};
 use proptest::prelude::*;
 
 /// A random simple graph as `(n, sanitized edge list)`.
@@ -23,6 +24,15 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             }
             Graph::from_edges(n, &edges).expect("sanitized edges are valid")
         })
+    })
+}
+
+/// LOCAL, or CONGEST with a cap some payloads exceed, or one none do.
+fn arb_model() -> impl Strategy<Value = Model> {
+    (0u64..3).prop_map(|pick| match pick {
+        0 => Model::Local,
+        1 => Model::Congest { bandwidth_bits: 8 },
+        _ => Model::Congest { bandwidth_bits: 64 },
     })
 }
 
@@ -126,6 +136,30 @@ proptest! {
         prop_assert_eq!(metrics.congest_violations, expected_violations);
         prop_assert_eq!(metrics.total_bits, expected_bits);
         prop_assert_eq!(metrics.max_message_bits, max_bits);
+    }
+
+    /// `broadcast` gathers inboxes from adjacency slices instead of pushing
+    /// sends, so its reference is the equivalent push-based `exchange`
+    /// round (every node sends its message over every incident edge).
+    /// Mailboxes — inbox order included — and metrics must be bit-identical.
+    /// Payload sizes vary per node, so bit totals, the size maximum and
+    /// congest violations are all exercised; isolated nodes send nothing.
+    #[test]
+    fn broadcast_mailboxes_are_bit_identical(
+        g in arb_graph(),
+        model in arb_model(),
+        seed in 0u64..1000,
+    ) {
+        let ids = IdAssignment::scattered(g.n(), seed);
+        let msg_of = |v: NodeId| vec![ids.id(v) * 3 + v.index() as u64; v.index() % 4 + 1];
+        let mut reference_net = Network::new(&g, model);
+        let reference = reference_net.exchange(|v| {
+            g.neighbors(v).iter().map(|nb| (nb.edge, msg_of(v))).collect()
+        });
+        let mut net = Network::new(&g, model);
+        let mail = net.broadcast(msg_of);
+        prop_assert_eq!(&mail, &reference);
+        prop_assert_eq!(net.metrics(), reference_net.metrics());
     }
 
     /// The same payloads under LOCAL never flag violations: the cap is a

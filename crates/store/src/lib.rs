@@ -26,7 +26,7 @@
 //! ```
 //! use diststore::{LoadedSnapshot, Snapshot, SnapshotSource};
 //! use distgraph::{generators, reorder_permutation, ReorderStrategy};
-//! use distsim::{ExecutionPolicy, Model};
+//! use distsim::Model;
 //!
 //! // Reorder for locality, snapshot with the permutation attached.
 //! let g = generators::grid_torus(8, 8);
@@ -42,7 +42,7 @@
 //!
 //! // Materialize and drive a simulator round.
 //! let loaded = LoadedSnapshot::load(&snap)?;
-//! let mut net = loaded.network(Model::Local, ExecutionPolicy::Sequential);
+//! let mut net = loaded.network(Model::Local);
 //! net.broadcast(|v| loaded.graph().degree(v) as u64);
 //! assert_eq!(net.rounds(), 1);
 //! # Ok::<(), diststore::SnapshotError>(())

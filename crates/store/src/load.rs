@@ -10,7 +10,7 @@
 use crate::error::SnapshotError;
 use crate::view::Snapshot;
 use distgraph::{DynamicGraph, EdgeColoring, EdgeId, Graph, Neighbor, NodeId, NodePermutation};
-use distsim::{ExecutionPolicy, Model, Network};
+use distsim::{Model, Network};
 use std::path::Path;
 
 /// Decodes the snapshot's structure sections into an owned [`Graph`].
@@ -147,7 +147,7 @@ impl LoadedSnapshot {
 
     /// A simulator network over the loaded graph — the "first runnable
     /// round" endpoint of the cold-start path measured by the IO benchmark.
-    pub fn network(&self, model: Model, policy: ExecutionPolicy) -> Network<'_> {
-        Network::with_policy(&self.graph, model, policy)
+    pub fn network(&self, model: Model) -> Network<'_> {
+        Network::new(&self.graph, model)
     }
 }

@@ -17,7 +17,7 @@
 //! ```
 
 use distgraph::{generators, reorder_permutation, NodeId, ReorderStrategy};
-use distsim::{ExecutionPolicy, Model};
+use distsim::Model;
 use diststore::{read_edge_list, write_edge_list, LoadedSnapshot, Snapshot, SnapshotSource};
 use std::time::Instant;
 
@@ -84,7 +84,7 @@ fn main() -> Result<(), diststore::SnapshotError> {
     );
 
     // The materialized snapshot drives the simulator directly.
-    let mut net = loaded.network(Model::Local, ExecutionPolicy::Sequential);
+    let mut net = loaded.network(Model::Local);
     net.broadcast(|v| loaded.graph().degree(v) as u64);
     println!(
         "one broadcast round from the snapshot: rounds = {}",

@@ -12,14 +12,11 @@
 //! 2. After N random mutation batches, the locally repaired coloring and a
 //!    from-scratch `color_edges_local` run on the final graph must pass the
 //!    identical checker suite (properness, completeness, palette budget),
-//!    and repairs must be **bit-identical** across
-//!    `ExecutionPolicy::Sequential` and `Parallel{2,8}`.
-//! 3. On the seeded generator matrix, full colorings produced under
-//!    `Parallel{2,8}` must be bit-identical to the sequential reference.
+//!    and a replayed session must repair **bit-identically**.
 
 use distgraph::generators::{self, Family, UpdateScenario, UpdateStream};
 use distgraph::{DynamicGraph, Graph};
-use distsim::{ExecutionPolicy, IdAssignment, Model};
+use distsim::{IdAssignment, Model};
 use edgecolor::{color_edges_local, default_palette, ColoringParams, Recoloring};
 use edgecolor_baselines as baselines;
 use edgecolor_verify::{
@@ -78,41 +75,15 @@ fn all_implementations_pass_the_same_checkers() {
     }
 }
 
-/// Full colorings on the seeded generator matrix are bit-identical between
-/// the sequential engine and the parallel engine at 2 and 8 threads.
-#[test]
-fn parallel_colorings_match_sequential_on_the_matrix() {
-    let params = ColoringParams::new(0.5);
-    for (name, g) in matrix() {
-        let ids = IdAssignment::scattered(g.n(), 5);
-        let reference = color_edges_local(&g, &ids, &params)
-            .unwrap_or_else(|e| panic!("{name}: LOCAL coloring failed: {e}"));
-        for threads in [2usize, 8] {
-            let parallel = params.with_policy(ExecutionPolicy::parallel(threads));
-            let outcome = color_edges_local(&g, &ids, &parallel)
-                .unwrap_or_else(|e| panic!("{name}: parallel({threads}) failed: {e}"));
-            assert_eq!(
-                reference.coloring, outcome.coloring,
-                "{name}: parallel({threads}) coloring diverged"
-            );
-            assert_eq!(
-                reference.metrics, outcome.metrics,
-                "{name}: parallel({threads}) metrics diverged"
-            );
-        }
-    }
-}
-
-/// Runs a whole dynamic session (initial coloring + `batches` repairs) under
-/// one execution policy and returns the final state.
+/// Runs a whole dynamic session (initial coloring + `batches` repairs) and
+/// returns the final state.
 fn run_dynamic_session(
     initial: &Graph,
     scenario: UpdateScenario,
     stream_seed: u64,
     batches: usize,
-    policy: ExecutionPolicy,
 ) -> (DynamicGraph, Recoloring, usize) {
-    let params = ColoringParams::new(0.5).with_policy(policy);
+    let params = ColoringParams::new(0.5);
     let ids = IdAssignment::scattered(initial.n(), 9);
     let mut dg = DynamicGraph::from_graph(initial.clone());
     let (mut rec, _) = Recoloring::color_initial(&dg, &ids, &params).expect("valid instance");
@@ -151,13 +122,7 @@ proptest! {
             _ => UpdateScenario::HubAttack { hub: 0, burst: 3, deletes: 1 },
         };
 
-        let (dg, rec, _) = run_dynamic_session(
-            &initial,
-            scenario,
-            seed,
-            batches,
-            ExecutionPolicy::Sequential,
-        );
+        let (dg, rec, _) = run_dynamic_session(&initial, scenario, seed, batches);
         let graph = dg.graph();
 
         // The maintained coloring passes the full checker suite...
@@ -181,7 +146,7 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_repair_is_bit_identical_across_execution_policies(
+    fn dynamic_repair_replays_bit_identically(
         (rows, cols, kind, seed) in (4usize..6, 4usize..7, 0u8..2, 0u64..1000)
     ) {
         let initial = generators::grid_torus(rows, cols);
@@ -190,29 +155,10 @@ proptest! {
             _ => UpdateScenario::HubAttack { hub: 0, burst: 3, deletes: 0 },
         };
         let batches = 4;
-        let (_, sequential, repaired) = run_dynamic_session(
-            &initial,
-            scenario,
-            seed,
-            batches,
-            ExecutionPolicy::Sequential,
-        );
-        for policy in [
-            ExecutionPolicy::parallel(2),
-            ExecutionPolicy::parallel(8),
-        ] {
-            let (_, session, session_repaired) = run_dynamic_session(
-                &initial,
-                scenario,
-                seed,
-                batches,
-                policy,
-            );
-            // (The compat prop_assert_eq! takes no custom message; the
-            // policy is part of the strategy inputs echoed on failure.)
-            prop_assert_eq!(session.coloring(), sequential.coloring());
-            prop_assert_eq!(session.palette(), sequential.palette());
-            prop_assert_eq!(session_repaired, repaired);
-        }
+        let (_, reference, repaired) = run_dynamic_session(&initial, scenario, seed, batches);
+        let (_, replay, replay_repaired) = run_dynamic_session(&initial, scenario, seed, batches);
+        prop_assert_eq!(replay.coloring(), reference.coloring());
+        prop_assert_eq!(replay.palette(), reference.palette());
+        prop_assert_eq!(replay_repaired, repaired);
     }
 }

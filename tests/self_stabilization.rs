@@ -8,11 +8,11 @@
 //! neighborhood and heal the coloring to the *same guarantees* a
 //! from-scratch `color_edges_local` run gives on the identical graph
 //! (proper, complete, within the `2Δ − 1` budget), across the whole seeded
-//! generator matrix and under every execution policy.
+//! generator matrix, and a replayed corruption must heal bit-identically.
 
 use distgraph::generators::{self, Family, UpdateScenario, UpdateStream};
 use distgraph::{DynamicGraph, Graph};
-use distsim::{ExecutionPolicy, IdAssignment};
+use distsim::IdAssignment;
 use edgecolor::{color_edges_local, default_palette, ColoringParams, Recoloring, SelfStabilizing};
 use edgecolor_verify::{
     check_complete, check_delta, check_palette_size, check_proper_edge_coloring,
@@ -83,11 +83,11 @@ fn stabilized_colorings_are_checker_equivalent_to_from_scratch() {
 }
 
 #[test]
-fn stabilization_is_bit_identical_across_policies() {
+fn stabilization_replays_bit_identically() {
     let g = generators::grid_torus(10, 10);
     let seeds = (0xBAD_5EED, 14usize);
-    let run = |policy: ExecutionPolicy| {
-        let params = ColoringParams::new(0.5).with_policy(policy);
+    let run = || {
+        let params = ColoringParams::new(0.5);
         let ids = IdAssignment::scattered(g.n(), 9);
         let dg = DynamicGraph::from_graph(g.clone());
         let (rec, _) = Recoloring::color_initial(&dg, &ids, &params).unwrap();
@@ -96,24 +96,13 @@ fn stabilization_is_bit_identical_across_policies() {
         let report = session.stabilize(&dg, &touched, &ids, &params).unwrap();
         (session.coloring().clone(), touched, report)
     };
-    let (seq_coloring, seq_touched, seq_report) = run(ExecutionPolicy::Sequential);
-    assert!(seq_report.conflicts_found > 0);
-    for policy in [ExecutionPolicy::parallel(2), ExecutionPolicy::parallel(8)] {
-        let (coloring, touched, report) = run(policy);
-        assert_eq!(touched, seq_touched, "corruption diverged at {policy}");
-        assert_eq!(
-            coloring, seq_coloring,
-            "healed coloring diverged at {policy}"
-        );
-        assert_eq!(
-            report.repaired_edges, seq_report.repaired_edges,
-            "repair size diverged at {policy}"
-        );
-        assert_eq!(
-            report.metrics, seq_report.metrics,
-            "repair rounds diverged at {policy}"
-        );
-    }
+    let (reference, reference_touched, reference_report) = run();
+    assert!(reference_report.conflicts_found > 0);
+    let (coloring, touched, report) = run();
+    assert_eq!(touched, reference_touched, "corruption diverged on replay");
+    assert_eq!(coloring, reference, "healed coloring diverged on replay");
+    assert_eq!(report.repaired_edges, reference_report.repaired_edges);
+    assert_eq!(report.metrics, reference_report.metrics);
 }
 
 #[test]
