@@ -44,7 +44,7 @@ pin-rr16:
 	cargo test --release -- --ignored
 
 # The measured baseline: quick E1–E11 sweeps plus the full-size SCALE
-# experiment (million-edge graphs at 1/2/4/8 threads), the DYN dynamic
+# experiment (million-edge graphs), the DYN dynamic
 # recoloring experiment (million-edge update streams), the FAULT
 # adversary experiment (delivery losses + recovery cost), the IO
 # out-of-core experiment (snapshot load paths + locality reordering) and

@@ -4,8 +4,10 @@
 //! (or directory) that exists in the repository, so the documentation layer
 //! cannot silently rot as files move. External (`http(s)`/`mailto`) links
 //! and pure in-page anchors are skipped — the build environment is offline.
-//! The same holds for code comments: every `*.md` file a comment under
-//! `crates/`, `src/` or `tests/` cites must exist.
+//! Every backticked Rust source path the documentation cites (`path.rs` or
+//! `path.rs::item`) must exist too, so a doc cannot keep naming a deleted
+//! module or test file. The same holds for code comments: every `*.md`
+//! file a comment under `crates/`, `src/` or `tests/` cites must exist.
 //! CI runs this as part of the `docs` job alongside
 //! `cargo doc --workspace --no-deps` with `RUSTDOCFLAGS="-D warnings"`.
 
@@ -109,6 +111,86 @@ fn relative_links_in_docs_resolve() {
         checked >= 8,
         "only {checked} relative links found — extractor broken?"
     );
+}
+
+/// The Rust source paths cited in inline code spans of one line: a span
+/// whose text, up to an optional `::item` suffix, ends in `.rs`.
+fn cited_rust_paths(line: &str) -> Vec<String> {
+    line.split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|span| span.split("::").next().unwrap_or(span))
+        .filter(|path| path.len() > 3 && path.ends_with(".rs") && !path.contains(' '))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn rust_paths_cited_in_docs_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    files_with_extension(root, "rs", &mut sources);
+    // A path with a directory part is read from the repository root; a bare
+    // file name (`network.rs` next to its crate's path) resolves when some
+    // source file carries that name.
+    let exists = |cited: &str| {
+        if cited.contains('/') {
+            root.join(cited).is_file()
+        } else {
+            sources
+                .iter()
+                .any(|path| path.file_name().is_some_and(|name| name == cited))
+        }
+    };
+    let mut checked = 0usize;
+    let mut missing = Vec::new();
+    for file in documentation_files(root) {
+        let content = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        let mut in_code_block = false;
+        for (lineno, line) in content.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                in_code_block = !in_code_block;
+                continue;
+            }
+            if in_code_block {
+                continue;
+            }
+            for cited in cited_rust_paths(line) {
+                checked += 1;
+                if !exists(&cited) {
+                    let shown = file.strip_prefix(root).unwrap_or(&file);
+                    missing.push(format!("{}:{}: `{cited}`", shown.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "documentation cites Rust files that do not exist:\n{}",
+        missing.join("\n")
+    );
+    assert!(
+        checked >= 50,
+        "only {checked} Rust path citations found — extractor broken?"
+    );
+}
+
+#[test]
+fn rust_path_extractor_handles_the_common_shapes() {
+    assert_eq!(
+        cited_rust_paths("see `crates/sim/src/network.rs` and `tests/x.rs::case`"),
+        vec![
+            "crates/sim/src/network.rs".to_string(),
+            "tests/x.rs".to_string()
+        ]
+    );
+    assert_eq!(
+        cited_rust_paths("(`network.rs`, `Network::exchange`)"),
+        vec!["network.rs".to_string()]
+    );
+    assert!(cited_rust_paths("no spans, just lib.rs").is_empty());
+    assert!(cited_rust_paths("`cargo test --test a.rs`").is_empty());
 }
 
 #[test]
