@@ -192,9 +192,9 @@ impl<'g> Network<'g> {
     }
 
     /// A fresh network over `child_graph` inheriting this network's model.
-    /// Used by composed algorithms that recurse on
-    /// subgraphs; absorb the child's metrics afterwards with
-    /// [`Network::absorb_sequential`] or [`Network::absorb_parallel`].
+    /// Used by composed algorithms that recurse on subgraphs; absorb the
+    /// child's metrics afterwards with [`Network::absorb_sequential`] or
+    /// [`Network::absorb_parallel`].
     ///
     /// Installed fault plans are **not** inherited: a [`FaultPlan`] is
     /// defined against one graph's edges and rounds, and child networks run
@@ -349,7 +349,7 @@ impl<'g> Network<'g> {
             }
             // Apply the permutation in place (cycle chasing): row `i` moves
             // to CSR slot `slots[i]`. Per-target slots increase with the row
-            // index, so each inbox keeps global sender order.
+            // index, so each inbox keeps ascending sender order.
             for i in 0..total {
                 while slots[i] != i {
                     let j = slots[i];
