@@ -1022,7 +1022,6 @@ pub fn run_fault() -> (Table, Vec<FaultMeasurement>) {
     let params = ColoringParams::new(0.5);
     for (name, graph, plan) in fault_configs() {
         let ids = IdAssignment::scattered(graph.n(), 7);
-        // Flood under the adversary.
         let started = Instant::now();
         let mut net = Network::new(&graph, Model::Local);
         net.install_faults(plan.clone());

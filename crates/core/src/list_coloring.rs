@@ -869,9 +869,6 @@ pub fn default_palette(delta: usize) -> usize {
 /// let outcome = color_edges_local(&graph, &ids, &ColoringParams::new(0.5))?;
 /// assert!(outcome.coloring.is_complete());
 /// assert!(outcome.coloring.palette_size() <= 2 * graph.max_degree() - 1);
-///
-/// // Runs are deterministic: the same input gives the same coloring.
-/// assert_eq!(color_edges_local(&graph, &ids, &ColoringParams::new(0.5))?.coloring, outcome.coloring);
 /// # Ok::<(), edgecolor::ColoringError>(())
 /// ```
 pub fn color_edges_local(
