@@ -43,8 +43,7 @@ perfbench-check:
 pin-rr16:
 	cargo test --release -- --ignored
 
-# The measured baseline: quick E1–E11 sweeps plus the full-size SCALE
-# experiment (million-edge graphs), the DYN dynamic
+# The measured baseline: quick E1–E11 sweeps plus the DYN dynamic
 # recoloring experiment (million-edge update streams), the FAULT
 # adversary experiment (delivery losses + recovery cost), the IO
 # out-of-core experiment (snapshot load paths + locality reordering) and
@@ -52,20 +51,20 @@ pin-rr16:
 # audit, including the million-edge serving row), serialized to
 # BENCH_1.json at the repo root (schema: docs/BENCH_SCHEMA.md).
 bench:
-	cargo run --release -p edgecolor-bench --bin experiments -- quick scale dyn fault io serve --emit-json BENCH_1.json
+	cargo run --release -p edgecolor-bench --bin experiments -- quick dyn fault io serve --emit-json BENCH_1.json
 
-# CI-sized variant: tiny sweeps and down-scaled SCALE/DYN graphs
+# CI-sized variant: tiny sweeps and a down-scaled DYN graph
 # (FAULT and IO always run their baseline-comparable configurations;
 # SERVE keeps its small-torus row and skips the million-edge row).
 bench-smoke:
-	cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn fault io serve --emit-json /tmp/bench.json
+	cargo run --release -p edgecolor-bench --bin experiments -- smoke dyn fault io serve --emit-json /tmp/bench.json
 
 # The regression gate: the smoke run diffed against the committed
 # BENCH_1.json under the tolerance table of crates/bench/src/regression.rs.
 # Fails on any deterministic-field mismatch; the diff lands in
 # /tmp/bench-regression-diff.txt (CI uploads it as an artifact).
 bench-regression:
-	cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn fault io serve --emit-json /tmp/bench.json --check-baseline BENCH_1.json --diff-out /tmp/bench-regression-diff.txt
+	cargo run --release -p edgecolor-bench --bin experiments -- smoke dyn fault io serve --emit-json /tmp/bench.json --check-baseline BENCH_1.json --diff-out /tmp/bench-regression-diff.txt
 
 # The IO gate on its own: the out-of-core load paths (text parse vs binary
 # decode vs zero-copy open, plus reorder on/off) diffed against the
@@ -95,7 +94,7 @@ serve-smoke:
 serve-pipeline-smoke:
 	cargo run --release -p distserve --bin serve-loadgen -- --pipeline-smoke
 
-# The serving test battery: protocol fuzz over v1 and v2 framing
+# The serving test battery: protocol fuzz over the message codec and v2 framing
 # (arbitrary/truncated/mutated byte streams and handshakes → typed errors,
 # zero panics, committed proptest seeds), multi-client concurrency with
 # batch-log replay equivalence, multi-graph tenant isolation with

@@ -1,4 +1,4 @@
-//! Prints the evaluation suite E1–E11 plus the SCALE/DYN/FAULT/IO/SERVE experiments
+//! Prints the evaluation suite E1–E11 plus the DYN/FAULT/IO/SERVE experiments
 //! (see docs/PAPER_MAP.md) and optionally serializes everything —
 //! tables and per-experiment wall-clock timings — to a machine-readable
 //! JSON file (the `BENCH_*.json` schema documented in docs/BENCH_SCHEMA.md).
@@ -6,14 +6,13 @@
 //! Usage:
 //!   cargo run --release -p edgecolor-bench --bin experiments                # all experiments
 //!   cargo run --release -p edgecolor-bench --bin experiments -- e1 e4      # a subset
-//!   cargo run --release -p edgecolor-bench --bin experiments -- quick      # smaller sweeps (no SCALE)
-//!   cargo run --release -p edgecolor-bench --bin experiments -- scale      # million-edge SCALE only
+//!   cargo run --release -p edgecolor-bench --bin experiments -- quick      # smaller E1–E11 sweeps only
 //!   cargo run --release -p edgecolor-bench --bin experiments -- dyn        # million-edge dynamic recoloring
 //!   cargo run --release -p edgecolor-bench --bin experiments -- fault      # fault adversary + self-stabilizing recovery
 //!   cargo run --release -p edgecolor-bench --bin experiments -- io         # out-of-core load paths + locality reordering
 //!   cargo run --release -p edgecolor-bench --bin experiments -- rounds     # round-complexity gate: E1/E2/E3 only, quick-size
-//!   cargo run --release -p edgecolor-bench --bin experiments -- smoke scale dyn fault io  # CI: tiny sweeps + tiny SCALE/DYN
-//!   cargo run --release -p edgecolor-bench --bin experiments -- quick scale dyn fault io --emit-json BENCH_1.json
+//!   cargo run --release -p edgecolor-bench --bin experiments -- smoke dyn fault io serve  # CI: tiny sweeps + tiny DYN
+//!   cargo run --release -p edgecolor-bench --bin experiments -- quick dyn fault io serve --emit-json BENCH_1.json
 //!
 //! An unknown selector prints a usage line and exits with status 2.
 //!
@@ -25,36 +24,7 @@
 
 use edgecolor_bench as bench;
 use edgecolor_bench::json::JsonValue;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
-
-/// System-allocator shim feeding [`bench::ALLOC_EVENTS`], the counter
-/// behind the SCALE `allocs/round` column. The library forbids `unsafe`, so
-/// the shim lives here in the binary: every allocation event (alloc +
-/// realloc; frees are free) bumps the shared counter the harness reads
-/// deltas of. One relaxed atomic increment per event is far below the noise
-/// floor of the wall-clock columns.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bench::ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bench::ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 struct TimedTable {
     table: bench::Table,
@@ -64,11 +34,10 @@ struct TimedTable {
 /// Every selector the binary understands; anything else is rejected.
 const SELECTORS: &[&str] = &[
     "all", "quick", "smoke", "rounds", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
-    "e11", "scale", "dyn", "fault", "io", "serve",
+    "e11", "dyn", "fault", "io", "serve",
 ];
 
-const USAGE: &str =
-    "usage: experiments [all|quick|smoke|rounds|e1..e11|scale|dyn|fault|io|serve]... \
+const USAGE: &str = "usage: experiments [all|quick|smoke|rounds|e1..e11|dyn|fault|io|serve]... \
                      [--emit-json PATH] [--check-baseline PATH] [--diff-out PATH]";
 
 /// The parsed command line.
@@ -205,19 +174,10 @@ fn main() {
         timed(&mut || bench::run_e11(small_deltas));
     }
 
-    // The SCALE and DYN experiments run only when explicitly named (or on a
-    // bare full run): their million-edge graphs would turn `quick`/`smoke`
+    // The DYN experiment runs only when explicitly named (or on a bare full
+    // run): its million-edge update streams would turn `quick`/`smoke`
     // sweeps into multi-minute runs. Graph sizes stay down-scaled under
     // `smoke`.
-    let scale_wanted = selectors.is_empty() || selectors.iter().any(|a| a == "scale" || a == "all");
-    let mut scale_measurements = Vec::new();
-    if scale_wanted {
-        timed(&mut || {
-            let (table, measurements) = bench::run_scale(!smoke);
-            scale_measurements = measurements;
-            table
-        });
-    }
     let dyn_wanted = selectors.is_empty() || selectors.iter().any(|a| a == "dyn" || a == "all");
     if dyn_wanted {
         timed(&mut || bench::run_dyn(!smoke));
@@ -271,7 +231,6 @@ fn main() {
     }
     let doc = build_json(
         &tables,
-        &scale_measurements,
         &fault_measurements,
         &io_measurements,
         &serve_measurements,
@@ -360,21 +319,20 @@ fn prune_baseline_for_rounds(doc: JsonValue) -> JsonValue {
     prune_baseline(
         doc,
         &|id| matches!(id, "E1" | "E2" | "E3"),
-        &["scale", "fault", "io", "serve"],
+        &["fault", "io", "serve"],
     )
 }
 
 /// The `io` gate reproduces only the IO experiment: the IO table and the
 /// `io` measurement array (with its cold-start floor) keep their contract.
 fn prune_baseline_for_io(doc: JsonValue) -> JsonValue {
-    prune_baseline(doc, &|id| id == "IO", &["scale", "fault", "serve"])
+    prune_baseline(doc, &|id| id == "IO", &["fault", "serve"])
 }
 
 /// Assembles the `edgecolor-bench/v1` JSON document (schema in
 /// `docs/BENCH_SCHEMA.md`).
 fn build_json(
     tables: &[TimedTable],
-    scale: &[bench::ScaleMeasurement],
     fault: &[bench::FaultMeasurement],
     io: &[bench::IoMeasurement],
     serve: &[bench::ServeMeasurement],
@@ -411,25 +369,6 @@ fn build_json(
                             })
                             .collect(),
                     ),
-                ),
-            ])
-        })
-        .collect();
-    let scale_entries = scale
-        .iter()
-        .map(|m| {
-            JsonValue::obj(vec![
-                ("graph", JsonValue::str(m.graph.clone())),
-                ("n", JsonValue::Int(m.n as i64)),
-                ("m", JsonValue::Int(m.m as i64)),
-                ("wall_ms", JsonValue::Num(m.wall_ms)),
-                ("rounds", JsonValue::Int(m.rounds as i64)),
-                ("messages", JsonValue::Int(m.messages as i64)),
-                ("rounds_per_sec", JsonValue::Num(m.rounds_per_sec)),
-                ("bytes_per_round", JsonValue::Num(m.bytes_per_round)),
-                (
-                    "allocs_per_round",
-                    JsonValue::Int(m.allocs_per_round as i64),
                 ),
             ])
         })
@@ -539,7 +478,6 @@ fn build_json(
             ]),
         ),
         ("experiments", JsonValue::Arr(experiments)),
-        ("scale", JsonValue::Arr(scale_entries)),
         ("fault", JsonValue::Arr(fault_entries)),
         ("io", JsonValue::Arr(io_entries)),
         ("serve", JsonValue::Arr(serve_entries)),
@@ -556,8 +494,8 @@ mod tests {
 
     #[test]
     fn parser_accepts_selectors_and_path_flags() {
-        let args = parse(&["Quick", "scale", "e8", "--emit-json", "out.json"]).unwrap();
-        assert_eq!(args.selectors, ["quick", "scale", "e8"]);
+        let args = parse(&["Quick", "dyn", "e8", "--emit-json", "out.json"]).unwrap();
+        assert_eq!(args.selectors, ["quick", "dyn", "e8"]);
         assert_eq!(args.emit_json.as_deref(), Some("out.json"));
         assert_eq!(parse(&[]).unwrap(), Args::default());
         for selector in SELECTORS {
@@ -567,9 +505,9 @@ mod tests {
 
     #[test]
     fn parser_rejects_unknown_selectors_and_missing_paths() {
-        // A typo and the retired `shard` selector used to run nothing and
-        // exit 0.
-        for bad in ["shard", "e12", "scael", "--emit"] {
+        // Typos and retired selectors (`shard`, `scale`) are errors, not
+        // silent no-op runs.
+        for bad in ["shard", "scale", "e12", "fualt", "--emit"] {
             let err = parse(&["quick", bad]).unwrap_err();
             assert!(err.contains(bad), "{err}");
         }

@@ -1,7 +1,7 @@
 //! # edgecolor-bench
 //!
 //! The experiment harness regenerating the evaluation suite E1–E11 and the
-//! SCALE, DYN, FAULT, IO and SERVE experiments. Each `run_*` function
+//! DYN, FAULT, IO and SERVE experiments. Each `run_*` function
 //! returns one or more [`Table`]s; the `experiments` binary prints them, and
 //! `make bench` records a reference run in `BENCH_1.json` (schema:
 //! docs/BENCH_SCHEMA.md; the paper result each experiment measures:
@@ -28,27 +28,10 @@ use edgecolor::{
 };
 use edgecolor_baselines as baselines;
 use edgecolor_verify::{check_complete, check_delta, check_proper_edge_coloring};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 pub mod json;
 pub mod regression;
-
-/// Allocation-event counter behind the SCALE `allocs/round` column.
-///
-/// This library forbids `unsafe`, so it cannot install a counting
-/// `#[global_allocator]` itself. The `experiments` binary wraps the system
-/// allocator and bumps this counter on every allocation event (alloc +
-/// realloc; frees are not counted); [`run_scale`] reads deltas around its
-/// measurement reps. In a process that installs no counting allocator (unit
-/// tests, external embedders) the counter stays at zero and the column
-/// honestly reports 0 instead of a fabricated number.
-pub static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Allocation events counted so far (see [`ALLOC_EVENTS`]).
-pub fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
-}
 
 /// A printable result table.
 #[derive(Debug, Clone)]
@@ -544,42 +527,7 @@ pub fn run_e10() -> Table {
     table
 }
 
-/// One measured configuration of the `run_scale` experiment.
-#[derive(Debug, Clone)]
-pub struct ScaleMeasurement {
-    /// Graph description, e.g. `grid_torus(1000x500)`.
-    pub graph: String,
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of edges.
-    pub m: usize,
-    /// Wall-clock time of the simulated execution, in milliseconds.
-    pub wall_ms: f64,
-    /// Rounds charged by the simulated execution.
-    pub rounds: u64,
-    /// Messages delivered by the simulated execution.
-    pub messages: u64,
-    /// Simulated rounds completed per wall-clock second (`rounds / wall`,
-    /// from the best rep). The round engine's throughput headline;
-    /// host-dependent, so the regression contract only floor-checks it.
-    pub rounds_per_sec: f64,
-    /// Message payload bytes delivered per round (`total_bits / 8 /
-    /// rounds`). A pure function of the deterministic metrics — compared
-    /// within float tolerance by the regression contract.
-    pub bytes_per_round: f64,
-    /// Allocation events per round: the counter delta of the cheapest rep
-    /// (see [`ALLOC_EVENTS`]) divided by the round count. Includes the run's
-    /// one-time setup *and* the flooding program's own per-node send
-    /// vectors (which are O(n) by workload design), so this is not a
-    /// measure of the engine's steady-state rate — the strict constant
-    /// per-round pin lives in `crates/sim/tests/alloc_budget.rs`. The count
-    /// is deterministic for a fixed binary and is diffed exactly, so any
-    /// engine change that re-grows per-round allocations shows up as a
-    /// drift. Zero when no counting allocator is installed.
-    pub allocs_per_round: u64,
-}
-
-/// The workload of the SCALE, FAULT and IO experiments: max-identifier
+/// The workload of the FAULT and IO experiments: max-identifier
 /// flooding on `net`. Every node starts from its identifier; each round
 /// it keeps the largest identifier it has received and sends it to all
 /// neighbors, for `rounds` steps after the first round, then halts with
@@ -629,112 +577,6 @@ fn flood(
         }
     }
     outputs
-}
-
-/// The graph suite of the scale experiment. With `million = true` the first
-/// two members have ≥ 10⁶ edges; with `million = false` the suite is scaled
-/// down for CI smoke runs.
-pub fn scale_graphs(million: bool) -> Vec<(String, Graph)> {
-    if million {
-        vec![
-            ("grid_torus(1000x500)".to_string(), {
-                generators::grid_torus(1000, 500)
-            }),
-            (
-                "random_regular(262144,8)".to_string(),
-                generators::random_regular(262_144, 8, 42).expect("feasible"),
-            ),
-            (
-                "power_law(1000000,2.5,256)".to_string(),
-                generators::power_law(1_000_000, 2.5, 256, 7),
-            ),
-        ]
-    } else {
-        vec![
-            (
-                "grid_torus(60x50)".to_string(),
-                generators::grid_torus(60, 50),
-            ),
-            (
-                "random_regular(4096,8)".to_string(),
-                generators::random_regular(4096, 8, 42).expect("feasible"),
-            ),
-            (
-                "power_law(20000,2.5,64)".to_string(),
-                generators::power_law(20_000, 2.5, 64, 7),
-            ),
-        ]
-    }
-}
-
-/// Scale — wall-clock, throughput and allocations of the round engine on
-/// large graphs (the `BENCH_*.json` speed baseline).
-///
-/// For every graph the same fixed flooding program runs once per
-/// repetition; the row records the best wall-clock milliseconds and the
-/// cheapest repetition's allocation count.
-pub fn run_scale(million: bool) -> (Table, Vec<ScaleMeasurement>) {
-    const FLOOD_ROUNDS: u32 = 6;
-    let mut table = Table::new(
-        "SCALE",
-        "Round engine wall-clock (6 flooding rounds per graph)",
-        &[
-            "graph",
-            "n",
-            "m",
-            "wall ms",
-            "rounds/s",
-            "KiB/round",
-            "allocs/round",
-        ],
-    );
-    let mut measurements = Vec::new();
-    // Best-of-N wall clock per configuration to damp scheduler noise on the
-    // big runs.
-    let reps = if million { 2 } else { 1 };
-    for (name, graph) in scale_graphs(million) {
-        let ids = IdAssignment::scattered(graph.n(), 1);
-        let mut wall_ms = f64::INFINITY;
-        let mut alloc_delta = u64::MAX;
-        let mut metrics = None;
-        for _ in 0..reps {
-            let allocs_before = alloc_events();
-            let started = Instant::now();
-            let mut net = Network::new(&graph, Model::Local);
-            flood(&mut net, &ids, FLOOD_ROUNDS, u64::from(FLOOD_ROUNDS) + 2);
-            wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            // The cheapest rep, like the best wall clock: later reps of a
-            // deterministic run repeat the same allocation sequence, minus
-            // any one-off lazy initialization of the first.
-            alloc_delta = alloc_delta.min(alloc_events() - allocs_before);
-            metrics = Some(net.metrics());
-        }
-        let metrics = metrics.expect("at least one repetition");
-        let rounds_per_sec = metrics.rounds as f64 / (wall_ms / 1e3).max(1e-9);
-        let bytes_per_round = metrics.total_bits as f64 / 8.0 / (metrics.rounds as f64).max(1.0);
-        let allocs_per_round = alloc_delta / metrics.rounds.max(1);
-        table.push_row(vec![
-            name.clone(),
-            graph.n().to_string(),
-            graph.m().to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{rounds_per_sec:.1}"),
-            format!("{:.3}", bytes_per_round / 1024.0),
-            allocs_per_round.to_string(),
-        ]);
-        measurements.push(ScaleMeasurement {
-            graph: name,
-            n: graph.n(),
-            m: graph.m(),
-            wall_ms,
-            rounds: metrics.rounds,
-            messages: metrics.messages,
-            rounds_per_sec,
-            bytes_per_round,
-            allocs_per_round,
-        });
-    }
-    (table, measurements)
 }
 
 /// DYN — dynamic recoloring: per-batch local repair cost versus what a
@@ -1862,33 +1704,6 @@ mod tests {
         assert_eq!(e6.rows.len(), 1);
         let e7 = run_e7(&[64]);
         assert_eq!(e7.rows[0][3], "0");
-    }
-
-    #[test]
-    fn scale_experiment_smoke_runs_and_is_deterministic() {
-        let (table, measurements) = run_scale(false);
-        assert_eq!(table.rows.len(), measurements.len());
-        assert_eq!(measurements.len(), 3);
-        for m in &measurements {
-            assert!(m.wall_ms >= 0.0);
-            assert!(m.rounds > 0);
-            assert!(m.messages > 0);
-            assert!(m.rounds_per_sec > 0.0);
-            // Flooding moves payload every round, so the deterministic
-            // delivered-bytes column is strictly positive.
-            assert!(m.bytes_per_round > 0.0);
-            // The unit-test binary installs no counting allocator, so the
-            // hook stays at zero and the column must honestly report 0.
-            assert_eq!(m.allocs_per_round, 0);
-        }
-        // Everything except wall-clock replays exactly.
-        let (_, repeat) = run_scale(false);
-        for (a, b) in measurements.iter().zip(&repeat) {
-            assert_eq!(a.graph, b.graph);
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.bytes_per_round, b.bytes_per_round);
-        }
     }
 
     #[test]

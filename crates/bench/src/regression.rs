@@ -5,15 +5,15 @@
 //! round counts, colors used, message/traffic counters and the fault
 //! adversary's effect replay exactly for a given seed. Wall-clock
 //! fields are host noise. This module encodes that split as an explicit
-//! **tolerance table** ([`column_rule`], [`SCALE_FIELDS`] & friends) and
+//! **tolerance table** ([`column_rule`], [`FAULT_FIELDS`] & friends) and
 //! compares the two documents row by row:
 //!
 //! * `experiments` tables are matched by experiment id, then row-keyed on
 //!   their input columns ([`key_columns`]); rows present in only one
 //!   document are *skipped* (the committed baseline carries full-size
-//!   SCALE/DYN rows a CI smoke run does not reproduce), rows present in
+//!   DYN rows a CI smoke run does not reproduce), rows present in
 //!   both are compared cell-by-cell under the column rules;
-//! * the `scale` / `fault` / `io` / `serve` measurement arrays are keyed on
+//! * the `fault` / `io` / `serve` measurement arrays are keyed on
 //!   their identity fields and compared field-by-field the same way.
 //!
 //! A non-empty mismatch list — or a suspiciously low compared-row count,
@@ -44,8 +44,7 @@ const IGNORED_TABLE_COLUMNS: &[&str] = &[
     "wall ms",
     "repair wall ms",
     "initial color ms",
-    // Wall-clock-derived throughput; the `scale` measurement array holds
-    // the same quantity to a MinFresh floor instead.
+    // Wall-clock-derived throughput (IO's first-round rate).
     "rounds/s",
     // IO cold-start columns: wall clock and ratios thereof. The ≥ 10×
     // cold-start floor lives on the `io` measurement array
@@ -81,9 +80,6 @@ const FLOAT_TABLE_COLUMNS: &[&str] = &[
     // compared) round counts, formatted as floats.
     "rounds ×/doubling",
     "polylog fit c",
-    // SCALE delivered-bytes-per-round: a pure function of the deterministic
-    // metrics (`total_bits / 8 / rounds`), float-formatted.
-    "KiB/round",
     // IO deterministic float columns: on-disk artifact size and the
     // locality metric of the reorder rows.
     "file MB",
@@ -102,13 +98,13 @@ pub fn column_rule(_id: &str, header: &str) -> Rule {
 }
 
 /// Whether an experiment table is *required* to match at least one
-/// baseline row by key. The full-size SCALE/DYN tables legitimately
-/// share no row keys with a down-scaled smoke run; every other table (the
-/// E-sweeps and FAULT, whose configurations are scale-invariant) matching
+/// baseline row by key. The full-size DYN table legitimately shares no row
+/// keys with a down-scaled smoke run; every other table (the E-sweeps,
+/// FAULT, IO and SERVE, whose configurations are scale-invariant) matching
 /// zero rows means its coverage silently evaporated — e.g. a selector
 /// dropped from the CI command — and must fail the gate.
 pub fn requires_matched_rows(id: &str) -> bool {
-    !matches!(id, "SCALE" | "DYN")
+    id != "DYN"
 }
 
 /// The columns forming a row's identity per experiment id (input
@@ -122,7 +118,6 @@ pub fn key_columns(id: &str) -> &'static [&'static str] {
         "E4/E8" => &["k", "δ"],
         "E9" => &["family"],
         "E10" => &["list shape"],
-        "SCALE" => &["graph"],
         "DYN" => &["scenario", "n", "m"],
         "FAULT" => &["workload", "graph", "seed"],
         "IO" => &["graph", "method"],
@@ -130,31 +125,6 @@ pub fn key_columns(id: &str) -> &'static [&'static str] {
         _ => &[],
     }
 }
-
-/// Identity fields and compared fields of the `scale` measurement array.
-pub const SCALE_FIELDS: (&[&str], &[(&str, Rule)]) = (
-    &["graph"],
-    &[
-        ("n", Rule::Exact),
-        ("m", Rule::Exact),
-        ("rounds", Rule::Exact),
-        ("messages", Rule::Exact),
-        // Absolute throughput is host noise too, but falling below one
-        // simulated round per second on any row — the million-edge suite
-        // sustains an order of magnitude more on a single core — means the
-        // delivery path fell off a cliff (e.g. an O(n²) scan or a
-        // per-message allocation crept back in).
-        ("rounds_per_sec", Rule::MinFresh(1.0)),
-        // Deterministic derivation of the exactly-compared metrics
-        // (`total_bits / 8 / rounds`); the tolerance only guards the float
-        // round-trip through JSON.
-        ("bytes_per_round", Rule::AbsTol(1e-6)),
-        // Allocation events per round are a deterministic property of the
-        // engine (counted by the experiments binary's allocator shim on the
-        // cheapest rep) — any drift is a real behavior change.
-        ("allocs_per_round", Rule::Exact),
-    ],
-);
 
 /// Identity fields and compared fields of the `fault` measurement array.
 pub const FAULT_FIELDS: (&[&str], &[(&str, Rule)]) = (
@@ -281,24 +251,14 @@ pub fn compare(baseline: &JsonValue, fresh: &JsonValue) -> RegressionReport {
         }
     }
     compare_experiment_tables(baseline, fresh, &mut report);
-    // The `fault` and `io` arrays are scale-invariant (identical
-    // configurations in baseline and smoke runs), so they must match;
-    // `scale` rows legitimately differ between full-size and smoke runs.
-    for (array, (keys, fields), require_match) in [
-        ("scale", SCALE_FIELDS, false),
-        ("fault", FAULT_FIELDS, true),
-        ("io", IO_FIELDS, true),
-        ("serve", SERVE_FIELDS, true),
+    // The measurement arrays are scale-invariant (identical configurations
+    // in baseline and smoke runs), so each must match at least one row.
+    for (array, (keys, fields)) in [
+        ("fault", FAULT_FIELDS),
+        ("io", IO_FIELDS),
+        ("serve", SERVE_FIELDS),
     ] {
-        compare_measurement_array(
-            baseline,
-            fresh,
-            array,
-            keys,
-            fields,
-            require_match,
-            &mut report,
-        );
+        compare_measurement_array(baseline, fresh, array, keys, fields, &mut report);
     }
     report
 }
@@ -458,7 +418,6 @@ fn compare_measurement_array(
     array: &str,
     keys: &[&str],
     fields: &[(&str, Rule)],
-    require_match: bool,
     report: &mut RegressionReport,
 ) {
     let base_rows = baseline
@@ -527,7 +486,7 @@ fn compare_measurement_array(
             report.skipped_rows += 1;
         }
     }
-    if require_match && matched == 0 && !base_rows.is_empty() {
+    if matched == 0 && !base_rows.is_empty() {
         report.mismatches.push(format!(
             "{array}: no fresh row matched any of the {} baseline rows — coverage lost",
             base_rows.len()
@@ -572,7 +531,7 @@ fn table_rows(table: &JsonValue) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
-    fn doc(rounds: &str, wall: &str, bytes: f64) -> JsonValue {
+    fn doc(rounds: &str, wall: &str, span: f64) -> JsonValue {
         JsonValue::obj(vec![
             ("schema", JsonValue::str("edgecolor-bench/v1")),
             (
@@ -598,19 +557,29 @@ mod tests {
                 ])]),
             ),
             (
-                "scale",
+                "io",
                 JsonValue::Arr(vec![JsonValue::obj(vec![
                     ("graph", JsonValue::str("g")),
+                    ("method", JsonValue::str("reorder")),
                     ("n", JsonValue::Int(10)),
                     ("m", JsonValue::Int(20)),
-                    ("rounds", JsonValue::Int(7)),
-                    ("messages", JsonValue::Int(280)),
-                    ("bytes_per_round", JsonValue::Num(bytes)),
-                    ("wall_ms", JsonValue::Num(1.25)),
+                    ("mean_edge_span", JsonValue::Num(span)),
+                    ("cold_start_ms", JsonValue::Num(1.25)),
                 ])]),
             ),
-            ("fault", JsonValue::Arr(vec![])),
         ])
+    }
+
+    /// `doc` with one more experiment table appended.
+    fn with_table(mut doc: JsonValue, table: JsonValue) -> JsonValue {
+        if let JsonValue::Obj(fields) = &mut doc {
+            for (k, v) in fields.iter_mut() {
+                if let ("experiments", JsonValue::Arr(tables)) = (k.as_str(), v) {
+                    tables.push(table.clone());
+                }
+            }
+        }
+        doc
     }
 
     #[test]
@@ -642,7 +611,7 @@ mod tests {
     fn float_drift_beyond_tolerance_fails() {
         let report = compare(&doc("41", "3.5", 0.25), &doc("41", "3.5", 0.35));
         assert_eq!(report.mismatches.len(), 1);
-        assert!(report.mismatches[0].contains("bytes_per_round"));
+        assert!(report.mismatches[0].contains("mean_edge_span"));
         // Within tolerance passes.
         let report = compare(&doc("41", "3.5", 0.25), &doc("41", "3.5", 0.25 + 1e-12));
         assert!(report.mismatches.is_empty());
@@ -669,33 +638,35 @@ mod tests {
 
     #[test]
     fn scale_mismatched_rows_are_skipped_not_failed() {
-        let a = doc("41", "3.5", 0.25);
-        let mut b = doc("41", "3.5", 0.25);
-        // Rename the fresh scale row's graph: keys no longer match.
-        if let Some(JsonValue::Obj(row)) = b
-            .get("scale")
-            .and_then(JsonValue::as_array)
-            .map(|arr| arr[0].clone())
-            .as_ref()
-        {
-            let mut row = row.clone();
-            for (k, v) in &mut row {
-                if k == "graph" {
-                    *v = JsonValue::str("bigger-run");
-                }
-            }
-            if let JsonValue::Obj(fields) = &mut b {
-                for (k, v) in fields.iter_mut() {
-                    if k == "scale" {
-                        *v = JsonValue::Arr(vec![JsonValue::Obj(row.clone())]);
-                    }
-                }
-            }
-        }
+        // The full-size DYN row of the baseline and the down-scaled row of
+        // a smoke run share no key: both are skipped, neither fails.
+        let dyn_table = |n: &str| {
+            JsonValue::obj(vec![
+                ("id", JsonValue::str("DYN")),
+                (
+                    "headers",
+                    JsonValue::Arr(vec![
+                        JsonValue::str("scenario"),
+                        JsonValue::str("n"),
+                        JsonValue::str("m"),
+                    ]),
+                ),
+                (
+                    "rows",
+                    JsonValue::Arr(vec![JsonValue::Arr(vec![
+                        JsonValue::str("churn"),
+                        JsonValue::str(n),
+                        JsonValue::str("2000"),
+                    ])]),
+                ),
+            ])
+        };
+        let a = with_table(doc("41", "3.5", 0.25), dyn_table("1000000"));
+        let b = with_table(doc("41", "3.5", 0.25), dyn_table("1000"));
         let report = compare(&a, &b);
         assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
-        assert_eq!(report.compared_rows, 1); // only the E1 row
-        assert_eq!(report.skipped_rows, 2); // baseline + fresh scale rows
+        assert_eq!(report.compared_rows, 2); // the E1 and io rows
+        assert_eq!(report.skipped_rows, 2); // baseline + fresh DYN rows
     }
 
     #[test]
@@ -733,20 +704,14 @@ mod tests {
     #[test]
     fn fresh_only_experiments_require_a_baseline_regen() {
         let a = doc("41", "3.5", 0.25);
-        let mut b = doc("41", "3.5", 0.25);
-        if let JsonValue::Obj(fields) = &mut b {
-            for (k, v) in fields.iter_mut() {
-                if k == "experiments" {
-                    if let JsonValue::Arr(tables) = v {
-                        tables.push(JsonValue::obj(vec![
-                            ("id", JsonValue::str("BRAND_NEW")),
-                            ("headers", JsonValue::Arr(vec![])),
-                            ("rows", JsonValue::Arr(vec![])),
-                        ]));
-                    }
-                }
-            }
-        }
+        let b = with_table(
+            doc("41", "3.5", 0.25),
+            JsonValue::obj(vec![
+                ("id", JsonValue::str("BRAND_NEW")),
+                ("headers", JsonValue::Arr(vec![])),
+                ("rows", JsonValue::Arr(vec![])),
+            ]),
+        );
         let report = compare(&a, &b);
         assert!(
             report
@@ -771,7 +736,6 @@ mod tests {
             JsonValue::obj(vec![
                 ("schema", JsonValue::str("edgecolor-bench/v1")),
                 ("experiments", JsonValue::Arr(vec![])),
-                ("scale", JsonValue::Arr(vec![])),
                 ("fault", JsonValue::Arr(rows)),
             ])
         };
@@ -807,28 +771,15 @@ mod tests {
         assert_eq!(key_columns("E3"), &["Δ", "ε"]);
         assert_eq!(key_columns("FAULT"), &["workload", "graph", "seed"]);
         assert!(key_columns("E999").is_empty());
-        // The flat-arena delivery columns: throughput is floor-checked,
-        // delivered bytes are float-compared, allocation counts are exact.
-        assert_eq!(column_rule("SCALE", "rounds/s"), Rule::Ignore);
-        assert_eq!(column_rule("SCALE", "KiB/round"), Rule::AbsTol(1e-6));
-        assert_eq!(column_rule("SCALE", "allocs/round"), Rule::Exact);
-        assert!(SCALE_FIELDS
-            .1
-            .iter()
-            .any(|&(f, r)| f == "rounds_per_sec" && r == Rule::MinFresh(1.0)));
-        assert!(SCALE_FIELDS
-            .1
-            .iter()
-            .any(|&(f, r)| f == "bytes_per_round" && r == Rule::AbsTol(1e-6)));
-        assert!(SCALE_FIELDS
-            .1
-            .iter()
-            .any(|&(f, r)| f == "allocs_per_round" && r == Rule::Exact));
+        // Only the full-size DYN table may match no smoke row.
+        assert!(!requires_matched_rows("DYN"));
+        assert!(requires_matched_rows("FAULT"));
         // The IO experiment: wall-clock columns ignored, structural columns
         // compared, the cold-start floor on the measurement array.
         assert_eq!(key_columns("IO"), &["graph", "method"]);
         assert_eq!(column_rule("IO", "cold ms"), Rule::Ignore);
         assert_eq!(column_rule("IO", "vs text"), Rule::Ignore);
+        assert_eq!(column_rule("IO", "rounds/s"), Rule::Ignore);
         assert_eq!(column_rule("IO", "file MB"), Rule::AbsTol(1e-6));
         assert_eq!(column_rule("IO", "edge span"), Rule::AbsTol(1e-6));
         assert_eq!(column_rule("IO", "checksum"), Rule::Exact);
@@ -847,7 +798,6 @@ mod tests {
         JsonValue::obj(vec![
             ("schema", JsonValue::str("edgecolor-bench/v1")),
             ("experiments", JsonValue::Arr(vec![])),
-            ("scale", JsonValue::Arr(vec![])),
             ("fault", JsonValue::Arr(vec![])),
             (
                 "io",
@@ -941,7 +891,6 @@ mod tests {
                         ),
                     ])]),
                 ),
-                ("scale", JsonValue::Arr(vec![])),
                 ("fault", JsonValue::Arr(vec![])),
             ])
         };

@@ -219,14 +219,17 @@ pub fn linial_edge_coloring(
         return distgraph::EdgeColoring::empty(0);
     }
     let line = graph.line_graph();
-    // Unique edge identifiers from the endpoint identifiers.
+    // Edge identifiers from the endpoint identifiers. The pair index
+    // exceeds u64 once `space` passes 2^32 (scattered ids at n > 1625), so
+    // it is taken mod 2^64 in every build profile; `from_vec` asserts the
+    // result is still unique.
     let space = ids.space();
     let edge_ids: Vec<u64> = graph
         .edges()
         .map(|e| {
             let (u, v) = graph.endpoints(e);
             let (a, b) = (ids.id(u).min(ids.id(v)), ids.id(u).max(ids.id(v)));
-            (a - 1) * space + (b - 1) + 1
+            (a - 1).wrapping_mul(space).wrapping_add(b)
         })
         .collect();
     let line_ids = IdAssignment::from_vec(edge_ids);

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Both flags are repeatable; each occurrence adds one served graph, in
-//! order, so the first becomes graph 0 (the v1-compat default tenant).
+//! order, so the first becomes graph 0 (the default tenant).
 //! Torus tenants are named `torus-ROWSxCOLS-K` (`K` = position among the
 //! tenants), snapshot tenants after their file stem.
 //!

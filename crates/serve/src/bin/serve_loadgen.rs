@@ -135,7 +135,7 @@ fn smoke() -> ExitCode {
     println!("{}", summary(&report, &metrics));
 
     let core = daemon.core().clone();
-    let state = core.state_snapshot();
+    let state = core.default_tenant().state_snapshot();
     let mut failures = Vec::new();
     if report.qps <= 0.0 {
         failures.push("qps is zero".to_string());

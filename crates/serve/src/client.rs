@@ -2,10 +2,9 @@
 //!
 //! Two surfaces, both built by [`ClientBuilder`]:
 //!
-//! * [`Client`] — strict request-reply. Speaks protocol v2 (handshake,
-//!   routing headers, graph targeting via [`Client::set_graph`]) by
-//!   default, or v1 (headerless, default graph only) via
-//!   [`ClientBuilder::connect_v1`]. Every method decodes the response into
+//! * [`Client`] — strict request-reply over protocol v2 (handshake,
+//!   routing headers, graph targeting via [`Client::set_graph`]). Every
+//!   method decodes the response into
 //!   the type it promises — [`lookup`](Client::lookup) returns the outcome
 //!   with its pinning epoch/version, [`metrics`](Client::metrics) a
 //!   [`MetricsReport`], [`submit`](Client::submit) an
@@ -159,25 +158,10 @@ impl ClientBuilder {
         let (max_inflight, graphs) = handshake(&mut stream)?;
         Ok(Client {
             stream,
-            mode: Mode::V2 { next_id: 1 },
+            next_id: 1,
             graph: 0,
             max_inflight,
             graphs,
-        })
-    }
-
-    /// Connects **without** a handshake: v1 semantics, default graph only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect_v1(&self, addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Ok(Client {
-            stream: self.open(addr)?,
-            mode: Mode::V1,
-            graph: 0,
-            max_inflight: 1,
-            graphs: Vec::new(),
         })
     }
 
@@ -211,7 +195,7 @@ fn handshake(stream: &mut TcpStream) -> Result<(u32, Vec<GraphInfo>), ClientErro
         }
         .encode(),
     )?;
-    match read_response(stream)? {
+    match Response::decode(&read_payload(stream)?)? {
         Response::Welcome {
             version,
             max_inflight,
@@ -241,23 +225,11 @@ fn read_payload(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
     }
 }
 
-fn read_response(stream: &mut TcpStream) -> Result<Response, ClientError> {
-    let payload = read_payload(stream)?;
-    Ok(Response::decode(&payload)?)
-}
-
-#[derive(Debug)]
-enum Mode {
-    V1,
-    V2 { next_id: u64 },
-}
-
-/// A strict request-reply client over one TCP connection. See the module
-/// docs for the v1/v2 distinction.
+/// A strict request-reply client over one TCP connection.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    mode: Mode,
+    next_id: u64,
     graph: u32,
     max_inflight: u32,
     graphs: Vec<GraphInfo>,
@@ -274,19 +246,17 @@ impl Client {
         ClientBuilder::new().connect(addr)
     }
 
-    /// The served-graph catalog from the handshake (empty on a v1
-    /// connection, which never sees one).
+    /// The served-graph catalog from the handshake.
     pub fn catalog(&self) -> &[GraphInfo] {
         &self.graphs
     }
 
-    /// The in-flight cap the daemon advertised (1 on a v1 connection).
+    /// The in-flight cap the daemon advertised.
     pub fn max_inflight(&self) -> u32 {
         self.max_inflight
     }
 
-    /// Targets all subsequent requests at `graph` (v2 routing; ignored on
-    /// a v1 connection, which can only reach the default graph).
+    /// Targets all subsequent requests at `graph`.
     pub fn set_graph(&mut self, graph: u32) -> &mut Self {
         self.graph = graph;
         self
@@ -303,30 +273,22 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Wire`] on transport/codec failures; on v2 also
+    /// [`ClientError::Wire`] on transport/codec failures, or
     /// [`ClientError::Unexpected`] if the echoed `request_id` does not
     /// match (impossible against a correct daemon in request-reply use).
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        match &mut self.mode {
-            Mode::V1 => {
-                write_frame(&mut self.stream, &req.encode())?;
-                read_response(&mut self.stream)
-            }
-            Mode::V2 { next_id } => {
-                let rid = *next_id;
-                *next_id += 1;
-                write_frame(&mut self.stream, &encode_v2_request(rid, self.graph, req))?;
-                let payload = read_payload(&mut self.stream)?;
-                let (got, resp) = crate::wire::decode_v2_response(&payload)?;
-                if got != rid {
-                    return Err(ClientError::Unexpected {
-                        expected: "matching request id",
-                        got: format!("response tagged {got}, expected {rid}"),
-                    });
-                }
-                Ok(resp)
-            }
+        let rid = self.next_id;
+        self.next_id += 1;
+        write_frame(&mut self.stream, &encode_v2_request(rid, self.graph, req))?;
+        let payload = read_payload(&mut self.stream)?;
+        let (got, resp) = crate::wire::decode_v2_response(&payload)?;
+        if got != rid {
+            return Err(ClientError::Unexpected {
+                expected: "matching request id",
+                got: format!("response tagged {got}, expected {rid}"),
+            });
         }
+        Ok(resp)
     }
 
     /// Color lookup by stable edge id: the outcome plus the `(epoch,

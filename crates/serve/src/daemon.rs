@@ -1,16 +1,15 @@
-//! The TCP front door: accept loop, per-connection workers (v1
-//! request-reply or v2 pipelined), per-tenant tick threads, cooperative
-//! shutdown.
+//! The TCP front door: accept loop, per-connection pipelined workers,
+//! per-tenant tick threads, cooperative shutdown.
 //!
-//! # Protocol negotiation
+//! # Handshake
 //!
-//! The **first frame** of a connection decides its generation. A
-//! [`Request::Hello`] opens protocol v2: the daemon answers a headerless
-//! [`Response::Welcome`] (the handshake itself carries no routing header)
-//! and switches the connection to the pipelined v2 worker. Any other
-//! first frame pins the connection to v1 semantics — strict
-//! request-reply, no headers, every request routed to graph 0 — which is
-//! byte-for-byte the PR-9 protocol.
+//! The **first frame** of a connection must be a [`Request::Hello`]: the
+//! daemon answers a headerless [`Response::Welcome`] (the handshake itself
+//! carries no routing header) and hands the connection to the pipelined
+//! worker. Any other first frame — another request, a malformed payload or
+//! an unsupported version — is answered with one
+//! [`Response::ProtocolRejected`], counted in `protocol_errors`, and the
+//! connection closes. Nothing of it reaches a tenant.
 //!
 //! # Pipelined v2 connections
 //!
@@ -39,20 +38,20 @@
 //! the queue without writing, so executors finishing late work never
 //! block on a dead socket.
 //!
-//! # Transport policy (both generations)
+//! # Transport policy
 //!
 //! * **Payload-level** protocol errors (bad opcode, truncated body, …) keep
 //!   the connection alive — framing is still in sync, so the worker answers
-//!   [`Response::ProtocolRejected`] and keeps reading. On v2 the reject is
-//!   tagged with the frame's `request_id` when the header was readable,
-//!   else with id 0.
+//!   [`Response::ProtocolRejected`] and keeps reading. The reject is tagged
+//!   with the frame's `request_id` when the header was readable, else with
+//!   id 0.
 //! * **Framing-level** errors (oversize/zero length declaration, EOF inside
 //!   a frame) desynchronize the stream: the worker answers once and closes.
 //! * Shutdown never blocks on idle readers: the handle keeps a registry of
 //!   connection streams and `TcpStream::shutdown`s them, which wakes every
 //!   blocked `read` with EOF.
 
-use crate::error::WireError;
+use crate::error::{ProtocolError, WireError};
 use crate::state::ServerCore;
 use crate::wire::{
     decode_v2_request_header, encode_v2_response, read_frame, write_frame, Request, Response,
@@ -221,9 +220,9 @@ fn stop(running: &AtomicBool, addr: SocketAddr, conns: &Mutex<Vec<TcpStream>>) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Reads the first frame and dispatches the connection to the v2 pipelined
-/// worker (first frame is a `Hello`) or the v1 request-reply worker
-/// (anything else, including a malformed payload).
+/// Reads the first frame: a `Hello` is answered with the `Welcome` and
+/// opens the pipelined worker; anything else is answered with one
+/// `ProtocolRejected` and closes the connection.
 fn serve_connection(
     core: &ServerCore,
     stream: TcpStream,
@@ -236,92 +235,34 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let first = match read_frame(&mut reader) {
-        Ok(None) => return,
-        Ok(Some(payload)) => payload,
-        Err(WireError::Protocol(e)) => {
-            core.note_protocol_error();
-            let reject = Response::ProtocolRejected {
-                detail: e.to_string(),
-            };
-            let _ = write_frame(&mut writer, &reject.encode());
-            return;
-        }
-        Err(WireError::Io(_)) => return,
-    };
-    match Request::decode(&first) {
-        Ok(Request::Hello { version }) => {
+    let answer = match read_frame(&mut reader) {
+        Ok(None) | Err(WireError::Io(_)) => return,
+        Err(WireError::Protocol(e)) => rejected(&e),
+        Ok(Some(payload)) => match Request::decode(&payload) {
             // The handshake is headerless in both directions; the routing
             // header starts with the first post-handshake frame.
-            let answer = core.handle_on(0, &Request::Hello { version });
-            let refused = !matches!(answer, Response::Welcome { .. });
-            if refused {
-                core.note_protocol_error();
-            }
-            if write_frame(&mut writer, &answer.encode()).is_err() || refused {
-                return;
-            }
-            serve_v2(core, reader, writer, running, addr, conns);
-        }
-        first_result => serve_v1(core, reader, writer, running, addr, conns, first_result),
+            Ok(hello @ Request::Hello { .. }) => core.handle_on(0, &hello),
+            Ok(_) => rejected(&ProtocolError::HandshakeRequired),
+            Err(e) => rejected(&e),
+        },
+    };
+    let welcomed = matches!(answer, Response::Welcome { .. });
+    if !welcomed {
+        core.note_protocol_error();
     }
+    if write_frame(&mut writer, &answer.encode()).is_err() || !welcomed {
+        // The registry holds a clone of this socket, so dropping the
+        // stream would not close the connection.
+        let _ = writer.shutdown(Shutdown::Both);
+        return;
+    }
+    serve_v2(core, reader, writer, running, addr, conns);
 }
 
-/// The v1 request-reply loop (the PR-9 protocol): decode, handle against
-/// graph 0, answer, repeat. `first` is the already-read first frame's
-/// decode result.
-fn serve_v1(
-    core: &ServerCore,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    running: &AtomicBool,
-    addr: SocketAddr,
-    conns: &Mutex<Vec<TcpStream>>,
-    first: Result<Request, crate::error::ProtocolError>,
-) {
-    let mut pending = Some(first);
-    loop {
-        if !running.load(Ordering::SeqCst) {
-            break;
-        }
-        let decoded = match pending.take() {
-            Some(d) => d,
-            None => match read_frame(&mut reader) {
-                Ok(None) => break,
-                Ok(Some(payload)) => Request::decode(&payload),
-                Err(WireError::Protocol(e)) => {
-                    core.note_protocol_error();
-                    let reject = Response::ProtocolRejected {
-                        detail: e.to_string(),
-                    };
-                    let _ = write_frame(&mut writer, &reject.encode());
-                    break;
-                }
-                Err(WireError::Io(_)) => break,
-            },
-        };
-        match decoded {
-            Ok(req) => {
-                let resp = core.handle(&req);
-                let stop_after = matches!(req, Request::Shutdown);
-                if write_frame(&mut writer, &resp.encode()).is_err() {
-                    break;
-                }
-                if stop_after {
-                    stop(running, addr, conns);
-                    break;
-                }
-            }
-            Err(e) => {
-                core.note_protocol_error();
-                let reject = Response::ProtocolRejected {
-                    detail: e.to_string(),
-                };
-                if write_frame(&mut writer, &reject.encode()).is_err() {
-                    break;
-                }
-            }
-        }
+/// The typed answer to a malformed frame or payload.
+fn rejected(e: &ProtocolError) -> Response {
+    Response::ProtocolRejected {
+        detail: e.to_string(),
     }
 }
 
@@ -417,28 +358,19 @@ fn serve_v2(
                         }
                         Err(e) => {
                             core.note_protocol_error();
-                            let reject = Response::ProtocolRejected {
-                                detail: e.to_string(),
-                            };
-                            let _ = resp_tx.send(encode_v2_response(rid, &reject));
+                            let _ = resp_tx.send(encode_v2_response(rid, &rejected(&e)));
                         }
                     },
                     Err(e) => {
                         // Frame shorter than the v2 header: framing is still
                         // in sync, answer with request id 0 and keep going.
                         core.note_protocol_error();
-                        let reject = Response::ProtocolRejected {
-                            detail: e.to_string(),
-                        };
-                        let _ = resp_tx.send(encode_v2_response(0, &reject));
+                        let _ = resp_tx.send(encode_v2_response(0, &rejected(&e)));
                     }
                 },
                 Err(WireError::Protocol(e)) => {
                     core.note_protocol_error();
-                    let reject = Response::ProtocolRejected {
-                        detail: e.to_string(),
-                    };
-                    let _ = resp_tx.send(encode_v2_response(0, &reject));
+                    let _ = resp_tx.send(encode_v2_response(0, &rejected(&e)));
                     break;
                 }
                 Err(WireError::Io(_)) => break,

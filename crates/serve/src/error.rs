@@ -80,6 +80,9 @@ pub enum ProtocolError {
         /// The version the daemon serves.
         supported: u32,
     },
+    /// The first frame of a connection was not a `Hello`; the daemon
+    /// answers once and closes the connection.
+    HandshakeRequired,
 }
 
 impl fmt::Display for ProtocolError {
@@ -121,6 +124,9 @@ impl fmt::Display for ProtocolError {
                     f,
                     "protocol version {requested} is not served (daemon speaks {supported})"
                 )
+            }
+            ProtocolError::HandshakeRequired => {
+                write!(f, "the first frame of a connection must be a Hello")
             }
         }
     }
@@ -207,12 +213,9 @@ impl From<edgecolor::ColoringError> for SetupError {
     }
 }
 
-/// A typed failure surfaced by the [`Client`](crate::client::Client) API.
-///
-/// The v1 client returned the raw [`Response`](crate::wire::Response) enum
-/// and left every caller to re-match it; the v2 surface decodes the
-/// response into the type the method promises and maps everything else to
-/// one of these variants.
+/// A typed failure surfaced by the [`Client`](crate::client::Client) API:
+/// each method decodes the response into the type it promises and maps
+/// everything else to one of these variants.
 #[derive(Debug)]
 pub enum ClientError {
     /// The transport or codec failed beneath the request.

@@ -1,10 +1,8 @@
 //! Fixed-bucket log-scale latency histograms served over the wire.
 //!
-//! The v1 protocol summarized per-tick repair latency as three scalar
-//! percentiles computed server-side; v2 ships the whole distribution so
-//! clients (and the bench harness) can derive *any* quantile — including
-//! the tail quantiles (p99.9) that SLO work actually cares about — from
-//! one metrics answer.
+//! A metrics answer ships the whole distribution, so clients (and the
+//! bench harness) can derive *any* quantile — including the tail quantiles
+//! (p99.9) that SLO work actually cares about — from one answer.
 //!
 //! # Bucket definition
 //!

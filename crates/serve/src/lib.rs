@@ -21,8 +21,8 @@
 //! * **Multi-graph serving** (protocol v2): one daemon hosts a registry of
 //!   independent tenants, each with its own admission queue, tick loop,
 //!   epoch chain and swap contract, routed by the `graph_id` field in the
-//!   v2 frame header. Connections that skip the [`wire::Request::Hello`]
-//!   handshake get v1 semantics against graph 0.
+//!   v2 frame header. A connection that does not open with the
+//!   [`wire::Request::Hello`] handshake is rejected and closed.
 //! * **Pipelined connections**: a v2 connection decouples reads from
 //!   writes (reader → per-graph executors → bounded response queue →
 //!   writer), so a slow repair on one graph never stalls lookups on

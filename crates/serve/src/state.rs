@@ -6,11 +6,12 @@
 //!
 //! [`ServerCore`] owns a fixed, boot-time vector of [`Tenant`]s. The
 //! `graph_id` in a v2 frame header is a dense index into that vector;
-//! tenant 0 is the **default graph** every v1 (handshake-less) connection
-//! is routed to. Tenants share nothing but the connection-level
-//! `protocol_errors` counter: each has its own admission queue, epoch
-//! chain, batch log, latency histograms and swap quiesce flag, so a slow
-//! repair tick on one graph never blocks admissions or reads on another.
+//! tenant 0 is the **default graph**, whose config sets the per-connection
+//! in-flight cap the handshake advertises. Tenants share nothing but the
+//! connection-level `protocol_errors` counter: each has its own admission
+//! queue, epoch chain, batch log, latency histograms and swap quiesce flag,
+//! so a slow repair tick on one graph never blocks admissions or reads on
+//! another.
 //! An out-of-range `graph_id` answers a typed
 //! [`RejectCode::UnknownGraph`] reject — routing faults are not admission
 //! faults and are not charged to any tenant's counters.
@@ -181,9 +182,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One independently served graph: published state, admission queue,
-/// counters, latency histograms and batch log. The whole PR-9 per-graph
-/// state machine lives here; [`ServerCore`] is the registry that routes
-/// v2 frames to the right tenant.
+/// counters, latency histograms and batch log. The whole per-graph state
+/// machine lives here; [`ServerCore`] is the registry that routes v2
+/// frames to the right tenant.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
@@ -749,8 +750,7 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// Builds a single-tenant core over `graph` (named `default`) — the
-    /// shape every v1 deployment had.
+    /// Builds a single-tenant core over `graph` (named `default`).
     ///
     /// # Errors
     ///
@@ -761,49 +761,14 @@ impl ServerCore {
         )?]))
     }
 
-    /// Builds a single-tenant core over an existing dynamic graph.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors of the initial coloring run.
-    pub fn from_dynamic(
-        dg: DynamicGraph,
-        coloring: Option<EdgeColoring>,
-        config: ServeConfig,
-    ) -> Result<Self, SetupError> {
-        Ok(Self::from_tenants(vec![Tenant::from_dynamic(
-            "default", dg, coloring, config,
-        )?]))
-    }
-
-    /// Builds a single-tenant core from a snapshot file.
-    ///
-    /// # Errors
-    ///
-    /// [`SetupError::Snapshot`] if the file fails validation,
-    /// [`SetupError::Coloring`] if the initial coloring run fails.
-    pub fn from_snapshot_path(
-        path: impl AsRef<Path>,
-        config: ServeConfig,
-    ) -> Result<Self, SetupError> {
-        let name = path
-            .as_ref()
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "default".into());
-        Ok(Self::from_tenants(vec![Tenant::from_snapshot_path(
-            name, path, config,
-        )?]))
-    }
-
     /// Builds a multi-tenant core. Tenant order fixes the `graph_id`
     /// assignment: `tenants[g]` answers frames routed to graph `g`, and
-    /// tenant 0 is the v1 default graph.
+    /// tenant 0 is the default graph.
     ///
     /// # Panics
     ///
-    /// If `tenants` is empty — a daemon with no default graph cannot serve
-    /// v1 connections.
+    /// If `tenants` is empty — a daemon with no default graph has no
+    /// in-flight cap to advertise in its handshake.
     pub fn from_tenants(tenants: Vec<Tenant>) -> Self {
         assert!(
             !tenants.is_empty(),
@@ -825,7 +790,8 @@ impl ServerCore {
         self.tenants.get(graph_id as usize)
     }
 
-    /// The default graph (id 0) every v1 connection is routed to.
+    /// The default graph (id 0), whose config sets the connection-level
+    /// knobs ([`ServeConfig::max_inflight`]).
     pub fn default_tenant(&self) -> &Arc<Tenant> {
         &self.tenants[0]
     }
@@ -892,74 +858,6 @@ impl ServerCore {
             },
         }
     }
-
-    /// Dispatches one decoded request with v1 semantics: routed to the
-    /// default graph.
-    pub fn handle(&self, req: &Request) -> Response {
-        self.handle_on(0, req)
-    }
-
-    // -- default-tenant conveniences (v1 semantics; tests and bench) --------
-
-    /// [`Tenant::state_snapshot`] on the default graph.
-    pub fn state_snapshot(&self) -> Arc<EpochState> {
-        self.default_tenant().state_snapshot()
-    }
-
-    /// [`Tenant::batch_log`] on the default graph.
-    pub fn batch_log(&self) -> Vec<(u64, UpdateBatch)> {
-        self.default_tenant().batch_log()
-    }
-
-    /// [`Tenant::queue_depth`] on the default graph.
-    pub fn queue_depth(&self) -> usize {
-        self.default_tenant().queue_depth()
-    }
-
-    /// [`Tenant::lookup`] on the default graph.
-    pub fn lookup(&self, stable: u64) -> Response {
-        self.default_tenant().lookup(stable)
-    }
-
-    /// [`Tenant::submit`] on the default graph.
-    pub fn submit(&self, delete: &[u64], insert: &[(u32, u32)]) -> Response {
-        self.default_tenant().submit(delete, insert)
-    }
-
-    /// [`Tenant::tick`] on the default graph.
-    pub fn tick(&self) -> bool {
-        self.default_tenant().tick()
-    }
-
-    /// [`Tenant::flush`] on the default graph.
-    pub fn flush(&self) -> Response {
-        self.default_tenant().flush()
-    }
-
-    /// [`Tenant::metrics`] on the default graph.
-    pub fn metrics(&self) -> MetricsReport {
-        self.default_tenant().metrics(self.protocol_errors())
-    }
-
-    /// [`Tenant::palette`] on the default graph.
-    pub fn palette(&self) -> Response {
-        self.default_tenant().palette()
-    }
-
-    /// [`Tenant::swap`] on the default graph.
-    pub fn swap(&self, path: &str) -> Response {
-        self.default_tenant().swap(path)
-    }
-
-    /// The default tenant's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        self.default_tenant().config()
-    }
-
-    /// The default tenant's coloring parameters.
-    pub fn params(&self) -> &ColoringParams {
-        self.default_tenant().params()
-    }
 }
 
 /// Builds the recoloring session for a (possibly snapshot-carried) coloring:
@@ -992,18 +890,18 @@ mod tests {
     use distgraph::generators;
     use edgecolor_verify::{check_complete, check_proper_edge_coloring};
 
-    fn small_core() -> ServerCore {
+    fn small_tenant() -> Tenant {
         let config = ServeConfig {
             tick_interval_ms: None,
             ..ServeConfig::default()
         };
-        ServerCore::new(generators::grid_torus(6, 6), config).unwrap()
+        Tenant::new("default", generators::grid_torus(6, 6), config).unwrap()
     }
 
     #[test]
     fn lookup_hits_and_misses() {
-        let core = small_core();
-        match core.lookup(0) {
+        let tenant = small_tenant();
+        match tenant.lookup(0) {
             Response::Color {
                 epoch: 1,
                 version: 0,
@@ -1013,14 +911,14 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match core.lookup(1 << 40) {
+        match tenant.lookup(1 << 40) {
             Response::Color {
                 outcome: LookupOutcome::Unknown,
                 ..
             } => {}
             other => panic!("unexpected {other:?}"),
         }
-        let metrics = core.metrics();
+        let metrics = tenant.metrics(0);
         assert_eq!(metrics.lookups, 2);
         assert_eq!(metrics.lookup_hits, 1);
         // Both lookups were timed into the service-time histogram.
@@ -1029,66 +927,72 @@ mod tests {
 
     #[test]
     fn admission_rules_reject_typed() {
-        let core = small_core();
+        let tenant = small_tenant();
         let reject_code = |resp: Response| match resp {
             Response::Rejected { code, .. } => code,
             other => panic!("expected a reject, got {other:?}"),
         };
         // Unknown stable id.
         assert_eq!(
-            reject_code(core.submit(&[1 << 40], &[])),
+            reject_code(tenant.submit(&[1 << 40], &[])),
             RejectCode::UnknownEdge
         );
         // Duplicate delete across submissions.
-        assert!(matches!(core.submit(&[0], &[]), Response::Submitted { .. }));
-        assert_eq!(reject_code(core.submit(&[0], &[])), RejectCode::UnknownEdge);
+        assert!(matches!(
+            tenant.submit(&[0], &[]),
+            Response::Submitted { .. }
+        ));
+        assert_eq!(
+            reject_code(tenant.submit(&[0], &[])),
+            RejectCode::UnknownEdge
+        );
         // Out-of-range and self-loop inserts.
         assert_eq!(
-            reject_code(core.submit(&[], &[(0, 999)])),
+            reject_code(tenant.submit(&[], &[(0, 999)])),
             RejectCode::NodeOutOfRange
         );
         assert_eq!(
-            reject_code(core.submit(&[], &[(3, 3)])),
+            reject_code(tenant.submit(&[], &[(3, 3)])),
             RejectCode::SelfLoop
         );
         // Inserting the pair of a live edge (one NOT pending deletion) is a
         // duplicate. Query stable id 2's endpoints so the pair can't collide
         // with the delete of stable id 0 queued above.
-        let st = core.state_snapshot();
+        let st = tenant.state_snapshot();
         let live = st.dynamic().internal_id(EdgeId::new(2)).unwrap();
         let (lu, lv) = st.dynamic().graph().endpoints(live);
         assert_eq!(
-            reject_code(core.submit(&[], &[(lu.index() as u32, lv.index() as u32)])),
+            reject_code(tenant.submit(&[], &[(lu.index() as u32, lv.index() as u32)])),
             RejectCode::DuplicateEdge
         );
         // (0,7) is not a torus edge of the 6×6 grid torus: admitted once,
         // duplicate the second time.
         assert!(matches!(
-            core.submit(&[], &[(0, 7)]),
+            tenant.submit(&[], &[(0, 7)]),
             Response::Submitted { .. }
         ));
         assert_eq!(
-            reject_code(core.submit(&[], &[(0, 7)])),
+            reject_code(tenant.submit(&[], &[(0, 7)])),
             RejectCode::DuplicateEdge
         );
         // Deleting a live edge frees its pair for reinsertion in the same
         // coalesced tick.
         let live_pair_sid = 1u64; // stable id 1 exists; find its endpoints
-        let st = core.state_snapshot();
+        let st = tenant.state_snapshot();
         let e = st
             .dynamic()
             .internal_id(EdgeId::new(live_pair_sid as usize))
             .unwrap();
         let (u, v) = st.dynamic().graph().endpoints(e);
         assert!(matches!(
-            core.submit(&[live_pair_sid], &[(u.index() as u32, v.index() as u32)]),
+            tenant.submit(&[live_pair_sid], &[(u.index() as u32, v.index() as u32)]),
             Response::Submitted { .. }
         ));
-        assert!(core.tick());
-        let st = core.state_snapshot();
+        assert!(tenant.tick());
+        let st = tenant.state_snapshot();
         check_proper_edge_coloring(st.dynamic().graph(), st.coloring()).assert_ok();
         check_complete(st.dynamic().graph(), st.coloring()).assert_ok();
-        assert_eq!(core.internal_errors(), 0);
+        assert_eq!(tenant.internal_errors(), 0);
     }
 
     #[test]
@@ -1098,16 +1002,16 @@ mod tests {
             queue_capacity: 2,
             ..ServeConfig::default()
         };
-        let core = ServerCore::new(generators::grid_torus(6, 6), config).unwrap();
+        let tenant = Tenant::new("default", generators::grid_torus(6, 6), config).unwrap();
         assert!(matches!(
-            core.submit(&[], &[(0, 7)]),
+            tenant.submit(&[], &[(0, 7)]),
             Response::Submitted { .. }
         ));
         assert!(matches!(
-            core.submit(&[], &[(1, 8)]),
+            tenant.submit(&[], &[(1, 8)]),
             Response::Submitted { .. }
         ));
-        match core.submit(&[], &[(2, 9)]) {
+        match tenant.submit(&[], &[(2, 9)]) {
             Response::Rejected {
                 code: RejectCode::QueueFull,
                 ..
@@ -1115,12 +1019,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // A tick drains the queue and capacity frees up.
-        assert!(core.tick());
+        assert!(tenant.tick());
         assert!(matches!(
-            core.submit(&[], &[(2, 9)]),
+            tenant.submit(&[], &[(2, 9)]),
             Response::Submitted { .. }
         ));
-        match core.flush() {
+        match tenant.flush() {
             Response::Flushed {
                 epoch: 1,
                 version: 2,
@@ -1132,13 +1036,13 @@ mod tests {
 
     #[test]
     fn metrics_and_introspection_track_work() {
-        let core = small_core();
+        let tenant = small_tenant();
         assert!(matches!(
-            core.submit(&[0, 1], &[(0, 7), (1, 8)]),
+            tenant.submit(&[0, 1], &[(0, 7), (1, 8)]),
             Response::Submitted { .. }
         ));
-        core.flush();
-        let m = core.metrics();
+        tenant.flush();
+        let m = tenant.metrics(0);
         assert_eq!(m.epoch, 1);
         assert_eq!(m.version, 1);
         assert_eq!(m.ticks, 1);
@@ -1152,7 +1056,7 @@ mod tests {
         assert_eq!(m.repair.count(), 1);
         assert!(m.repair.p50_ms() >= 0.0 && m.repair.p95_ms() >= m.repair.p50_ms());
         assert!(m.repair.p999_ms() >= m.repair.p99_ms());
-        match core.palette() {
+        match tenant.palette() {
             Response::Palette {
                 palette,
                 max_degree,
@@ -1167,7 +1071,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(core.batch_log().len(), 1);
+        assert_eq!(tenant.batch_log().len(), 1);
     }
 
     #[test]

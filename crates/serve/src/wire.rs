@@ -1,4 +1,4 @@
-//! The hand-rolled, length-prefixed wire protocol (v2, with v1 fallback).
+//! The hand-rolled, length-prefixed wire protocol (v2).
 //!
 //! A message on the wire is one *frame*:
 //!
@@ -14,9 +14,9 @@
 //! opcodes `0x01..=0x10`, responses `0x81..=0x90`.
 //!
 //! **Protocol v2** wraps message payloads in a routing header. A
-//! connection opens v2 by sending [`Request::Hello`] as its first frame;
-//! the daemon answers [`Response::Welcome`] with the served-graph catalog,
-//! and every subsequent frame carries the header:
+//! connection opens by sending [`Request::Hello`] as its first frame; the
+//! daemon answers [`Response::Welcome`] with the served-graph catalog, and
+//! every subsequent frame carries the header:
 //!
 //! ```text
 //! v2 request  payload: request_id u64 | graph_id u32 | opcode + body
@@ -25,10 +25,8 @@
 //!
 //! `request_id` is client-chosen and echoed verbatim on the response, so
 //! a pipelined connection can match answers that complete out of order
-//! across graphs. A connection whose first frame is *not* a `Hello` is
-//! served **v1 semantics**: no headers, strict request-reply ordering,
-//! every request routed to the default graph (id 0) — the PR-9 protocol,
-//! which the unchanged v1 fuzz corpus still exercises.
+//! across graphs. A connection whose first frame is *not* a `Hello` gets
+//! one [`Response::ProtocolRejected`] and is closed.
 //!
 //! [`Request::decode`] / [`Response::decode`] and the v2 header codecs are
 //! pure functions over a payload slice — the protocol fuzz battery drives
@@ -49,8 +47,7 @@ use std::io::{Read, Write};
 pub const MAX_FRAME_LEN: usize = 1 << 24;
 
 /// The protocol version this build speaks in a [`Request::Hello`] /
-/// [`Response::Welcome`] handshake. Version 1 is the implicit
-/// handshake-less protocol and has no wire representation.
+/// [`Response::Welcome`] handshake.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on a `Swap` path, bytes. Enforced at decode time with a typed
@@ -232,7 +229,7 @@ pub enum Request {
     /// Stop the daemon (`0x08`).
     Shutdown,
     /// Open a v2 connection (`0x10`). Must be the **first** frame; any
-    /// other first frame pins the connection to v1 semantics.
+    /// other first frame is rejected and closes the connection.
     Hello {
         /// Protocol version the client speaks ([`PROTOCOL_VERSION`]).
         version: u32,

@@ -104,18 +104,22 @@ fn interleaved_clients_converge_to_a_replayable_coloring() {
     // Drain everything that was admitted, then stop the daemon.
     let mut client = Client::connect(addr).expect("connect");
     assert_eq!(client.flush().expect("flush").epoch, 1);
-    let core = daemon.core().clone();
+    let tenant = daemon.core().default_tenant().clone();
     daemon.shutdown();
-    assert_eq!(core.internal_errors(), 0, "ticks hit internal errors");
-    assert_eq!(core.queue_depth(), 0, "flush left admitted batches behind");
+    assert_eq!(tenant.internal_errors(), 0, "ticks hit internal errors");
+    assert_eq!(
+        tenant.queue_depth(),
+        0,
+        "flush left admitted batches behind"
+    );
 
     // The final coloring is checker-valid.
-    let st = core.state_snapshot();
+    let st = tenant.state_snapshot();
     check_proper_edge_coloring(st.dynamic().graph(), st.coloring()).assert_ok();
     check_complete(st.dynamic().graph(), st.coloring()).assert_ok();
 
     // Every admitted op landed in the coalesced log, all on epoch 1.
-    let log = core.batch_log();
+    let log = tenant.batch_log();
     let logged_ops: u64 = log
         .iter()
         .map(|(_, b)| (b.delete.len() + b.insert.len()) as u64)
@@ -132,7 +136,7 @@ fn interleaved_clients_converge_to_a_replayable_coloring() {
     // clean coloring, so plain repair replay must agree exactly.)
     let mut dg = DynamicGraph::from_graph(generators::grid_torus(ROWS, COLS));
     let ids = st.ids().clone();
-    let params = *core.params();
+    let params = *tenant.params();
     let budget = edgecolor::default_palette(max_deg0 + headroom);
     let (mut rec, _) = Recoloring::with_budget(&dg, &ids, &params, budget).expect("replay boot");
     for (_, batch) in &log {
@@ -164,7 +168,7 @@ fn readers_race_ticks_without_torn_answers() {
     let core = ServerCore::new(graph, config).expect("boot");
     let daemon = DaemonHandle::spawn(core).expect("bind");
     let addr = daemon.addr();
-    let core = daemon.core().clone();
+    let tenant = daemon.core().default_tenant().clone();
 
     std::thread::scope(|s| {
         // Writer: one submission per tick, ticked manually and hotly.
@@ -172,7 +176,7 @@ fn readers_race_ticks_without_torn_answers() {
             let mut client = Client::connect(addr).expect("connect");
             for (i, a) in (0..ROWS * COLS).step_by(3).enumerate() {
                 submit_admitted(&mut client, &[], &[(a as u32, diag(a) as u32)]);
-                core.tick();
+                tenant.tick();
                 if i % 8 == 0 {
                     std::thread::sleep(Duration::from_micros(50));
                 }
@@ -200,7 +204,7 @@ fn readers_race_ticks_without_torn_answers() {
         Response::Flushed { epoch: 1, .. } => {}
         other => panic!("flush answered {other:?}"),
     }
-    let st = core.state_snapshot();
+    let st = tenant.state_snapshot();
     check_proper_edge_coloring(st.dynamic().graph(), st.coloring()).assert_ok();
     check_complete(st.dynamic().graph(), st.coloring()).assert_ok();
     daemon.shutdown();

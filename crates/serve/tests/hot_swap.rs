@@ -96,8 +96,8 @@ fn concurrent_reads_observe_a_consistent_epoch_across_a_swap() {
 
     // The new generation is fully serving: coloring adopted and valid,
     // mutations admissible on the 6×6 node range.
-    let core = daemon.core().clone();
-    let st = core.state_snapshot();
+    let tenant = daemon.core().default_tenant().clone();
+    let st = tenant.state_snapshot();
     assert_eq!(st.epoch(), 2);
     assert_eq!(st.dynamic().graph().m(), 72);
     check_proper_edge_coloring(st.dynamic().graph(), st.coloring()).assert_ok();
@@ -160,8 +160,8 @@ fn corrupt_snapshot_swaps_are_rejected_and_the_old_generation_keeps_serving() {
     assert_eq!(metrics.swaps_rejected, 3);
     assert_eq!(metrics.epoch, 1);
 
-    let core = daemon.core().clone();
-    let st = core.state_snapshot();
+    let tenant = daemon.core().default_tenant().clone();
+    let st = tenant.state_snapshot();
     check_proper_edge_coloring(st.dynamic().graph(), st.coloring()).assert_ok();
     check_complete(st.dynamic().graph(), st.coloring()).assert_ok();
     daemon.shutdown();
@@ -182,7 +182,7 @@ fn pending_admissions_drain_into_the_old_epoch_before_the_swap() {
     };
     let core = ServerCore::new(generators::grid_torus(8, 8), config).expect("boot");
     let daemon = DaemonHandle::spawn(core).expect("bind");
-    let core = daemon.core().clone();
+    let tenant = daemon.core().default_tenant().clone();
     let mut client = Client::connect(daemon.addr()).expect("connect");
 
     // Admit two batches; no ticker runs, so they sit in the queue.
@@ -194,7 +194,7 @@ fn pending_admissions_drain_into_the_old_epoch_before_the_swap() {
         .submit(vec![3], vec![])
         .expect("submit")
         .expect("admissible");
-    assert_eq!(core.queue_depth(), 2);
+    assert_eq!(tenant.queue_depth(), 2);
 
     assert_eq!(
         client
@@ -204,12 +204,12 @@ fn pending_admissions_drain_into_the_old_epoch_before_the_swap() {
         2
     );
     assert_eq!(
-        core.queue_depth(),
+        tenant.queue_depth(),
         0,
         "swap published with admissions still queued"
     );
     // The drained batches were applied to epoch 1 — the log proves it.
-    let log = core.batch_log();
+    let log = tenant.batch_log();
     let epoch1_ops: usize = log
         .iter()
         .filter(|(epoch, _)| *epoch == 1)

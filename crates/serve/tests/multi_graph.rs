@@ -13,17 +13,17 @@
 //!    repairs a freshly admitted batch pile — milliseconds of work against
 //!    a microsecond lookup — so even on one CPU at least one of the rounds
 //!    must invert; we assert exactly that, not a race-y all-of-them.)
-//! 3. **v1 fallback**: a handshake-less connection keeps full v1 semantics
-//!    against graph 0 of the same daemon that is serving v2 tenants.
+//! 3. **Handshake first**: a connection whose first frame is not a `Hello`
+//!    gets one typed reject and is closed; no tenant sees the frame.
 
 use distgraph::{generators, DynamicGraph};
-use distserve::wire::{LookupOutcome, RejectCode, Request, Response};
+use distserve::wire::{read_frame, write_frame, LookupOutcome, RejectCode, Request, Response};
 use distserve::{
-    Client, ClientBuilder, DaemonHandle, PipelinedClient, Rejection, ServeConfig, ServerCore,
-    Tenant,
+    Client, DaemonHandle, PipelinedClient, Rejection, ServeConfig, ServerCore, Tenant,
 };
 use edgecolor::Recoloring;
 use edgecolor_verify::{check_complete, check_delta, check_proper_edge_coloring};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Diagonal neighbor on an `rows × cols` torus — never a torus edge, so
@@ -217,43 +217,53 @@ fn pipelined_responses_complete_out_of_order_across_graphs() {
     daemon.shutdown();
 }
 
-/// Property 3: handshake-less connections keep v1 semantics against graph
-/// 0 of a daemon that is simultaneously serving v2 tenants.
+/// Property 3: a handshake-less first frame — a read, a write or a
+/// `Shutdown` — is answered with exactly one `ProtocolRejected`, then EOF.
+/// It is counted as a protocol error, moves no tenant's counters or epoch,
+/// and the daemon keeps serving v2 clients.
 #[test]
-fn v1_fallback_serves_graph_zero_alongside_v2_tenants() {
+fn handshake_less_first_frames_are_rejected_and_closed() {
     let daemon = spawn_two_tenants([(6, 6), (5, 5)], None);
-    let addr = daemon.addr();
-
-    // A v2 client writes to graph 1...
-    let mut v2 = Client::connect(addr).expect("v2 connect");
-    assert_eq!(v2.catalog().len(), 2);
-    v2.set_graph(1);
-    v2.submit(vec![], vec![(0, 6)])
-        .expect("submit")
-        .expect("admissible");
-    assert_eq!(v2.flush().expect("flush").epoch, 1);
-
-    // ...while a handshake-less v1 client works graph 0, full surface.
-    let mut v1 = ClientBuilder::new().connect_v1(addr).expect("v1 connect");
-    match v1.lookup(0).expect("lookup") {
-        (LookupOutcome::Colored { .. }, 1, _) => {}
-        other => panic!("v1 lookup answered {other:?}"),
-    }
-    v1.submit(vec![], vec![(0, 7)])
-        .expect("submit")
-        .expect("admissible");
-    assert_eq!(v1.flush().expect("flush").epoch, 1);
-    let m_v1 = v1.metrics().expect("metrics");
-
-    // The v1 write landed on tenant 0 and only tenant 0; the v2 write on
-    // tenant 1 and only tenant 1.
     let core = daemon.core();
-    let t0 = core.tenants()[0].state_snapshot();
-    let t1 = core.tenants()[1].state_snapshot();
-    assert_eq!(t0.dynamic().graph().m(), 2 * 36 + 1);
-    assert_eq!(t1.dynamic().graph().m(), 2 * 25 + 1);
-    assert_eq!(m_v1.m, 2 * 36 + 1, "v1 metrics report graph 0");
-    check_proper_edge_coloring(t0.dynamic().graph(), t0.coloring()).assert_ok();
-    check_proper_edge_coloring(t1.dynamic().graph(), t1.coloring()).assert_ok();
+    let metrics = || -> Vec<_> { core.tenants().iter().map(|t| t.metrics(0)).collect() };
+    let before = metrics();
+    let errors_before = core.protocol_errors();
+
+    let first_frames = [
+        Request::Lookup { stable: 0 },
+        Request::Submit {
+            delete: vec![],
+            insert: vec![(0, 7)],
+        },
+        Request::Shutdown,
+    ];
+    for req in &first_frames {
+        let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        write_frame(&mut stream, &req.encode()).expect("send first frame");
+        let payload = read_frame(&mut stream)
+            .expect("one answer")
+            .expect("an answer before EOF");
+        match Response::decode(&payload) {
+            Ok(Response::ProtocolRejected { .. }) => {}
+            other => panic!("handshake-less {req:?} answered {other:?}"),
+        }
+        assert!(
+            matches!(read_frame(&mut stream), Ok(None)),
+            "connection stayed open after rejecting {req:?}"
+        );
+    }
+
+    assert_eq!(core.protocol_errors(), errors_before + 3);
+    assert_eq!(metrics(), before, "a rejected frame reached a tenant");
+    let mut client = Client::connect(daemon.addr()).expect("v2 connect after the rejects");
+    assert_eq!(client.catalog().len(), 2);
+    client.set_graph(1);
+    match client.lookup(0).expect("lookup") {
+        (LookupOutcome::Colored { .. }, 1, 0) => {}
+        other => panic!("v2 lookup answered {other:?}"),
+    }
     daemon.shutdown();
 }

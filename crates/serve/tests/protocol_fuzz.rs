@@ -1,4 +1,4 @@
-//! Protocol fuzz battery for the serve wire codec — v1 *and* v2.
+//! Protocol fuzz battery for the serve wire codec and its v2 framing.
 //!
 //! Arbitrary byte soup, truncated prefixes of valid encodings, single-byte
 //! mutations and hostile frame headers are all fed through
@@ -449,22 +449,18 @@ mod live {
         stream
     }
 
-    /// The daemon answers something typed to every fresh connection — used
+    /// The daemon still completes a handshake and answers typed — used
     /// after each hostile exchange to prove the listener survived.
     fn daemon_still_serves(daemon: &DaemonHandle) {
-        let mut v1 = ClientBuilder::new()
-            .connect_v1(daemon.addr())
-            .expect("v1 connect after hostile exchange");
-        v1.metrics().expect("v1 metrics after hostile exchange");
         let mut v2 = ClientBuilder::new()
             .connect(daemon.addr())
             .expect("v2 connect after hostile exchange");
         v2.metrics().expect("v2 metrics after hostile exchange");
     }
 
-    /// Every single-byte mutation of a valid Hello first frame gets *some*
-    /// deterministic treatment — a typed reject, v1 fallback semantics, or
-    /// a clean close — and the daemon keeps serving afterwards.
+    /// Every single-byte mutation of a valid Hello first frame gets a
+    /// `Welcome`, a typed reject or a clean close, and the daemon keeps
+    /// serving afterwards.
     #[test]
     fn mutated_handshakes_never_kill_the_daemon() {
         let daemon = two_tenant_daemon();
@@ -475,12 +471,16 @@ mod live {
                 frame[pos] ^= flip;
                 let mut stream = open(&daemon);
                 write_frame(&mut stream, &frame).unwrap();
-                // The answer is one of: Welcome (flip landed in a dead bit),
-                // ProtocolRejected (bad version / opcode), a v1 answer (the
-                // opcode mutated into another valid request), or clean EOF.
-                // All that matters: no hang, no panic, typed decode.
-                if let Ok(Some(payload)) = read_frame(&mut stream) {
-                    let _ = Response::decode(&payload);
+                // Welcome (the flip landed in a dead bit), ProtocolRejected
+                // (bad version, or the opcode mutated into another request,
+                // which a handshake-less first frame is), or clean EOF.
+                match read_frame(&mut stream) {
+                    Ok(None) => {}
+                    Ok(Some(payload)) => match Response::decode(&payload) {
+                        Ok(Response::Welcome { .. } | Response::ProtocolRejected { .. }) => {}
+                        other => panic!("mutated Hello {frame:?} answered {other:?}"),
+                    },
+                    Err(e) => panic!("mutated Hello {frame:?} broke the stream: {e}"),
                 }
                 drop(stream);
             }

@@ -23,11 +23,11 @@ use distsim::{Model, Network};
 /// deallocations are free and not counted.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,9 +46,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Allocation events that happen while `f` runs.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let before = ALLOCS.load(Ordering::Relaxed);
     f();
-    ALLOC_EVENTS.load(Ordering::Relaxed) - before
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 /// Steady-state allocations per broadcast round, after a warm-up that grows
