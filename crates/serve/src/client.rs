@@ -4,13 +4,13 @@
 //!
 //! * [`Client`] — strict request-reply over protocol v2 (handshake,
 //!   routing headers, graph targeting via [`Client::set_graph`]). Every
-//!   method decodes the response into
-//!   the type it promises — [`lookup`](Client::lookup) returns the outcome
+//!   method decodes the response into the type it promises —
+//!   [`lookup`](Client::lookup) returns the outcome
 //!   with its pinning epoch/version, [`metrics`](Client::metrics) a
 //!   [`MetricsReport`], [`submit`](Client::submit) an
 //!   `Ok(`[`Admitted`]`)`/`Err(`[`Rejection`]`)` admission verdict —
 //!   and maps everything unexpected to a typed [`ClientError`].
-//! * [`PipelinedClient`] — v2 only, decoupled send/receive:
+//! * [`PipelinedClient`] — decoupled send/receive:
 //!   [`send`](PipelinedClient::send) writes a frame and returns a
 //!   [`Ticket`]; [`recv`](PipelinedClient::recv) blocks for that ticket's
 //!   answer, buffering out-of-order arrivals;
